@@ -17,8 +17,6 @@ if _threads:
 
 import click  # noqa: E402
 
-from .expressions import ExpressionError  # noqa: E402
-
 _CONFIG_ERROR = 2
 _RESIDUAL_ERROR = 1
 
@@ -40,10 +38,14 @@ def _fail(message):
 
 
 def _parse_h(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise click.exceptions.Exit(
+            _fail(f"invalid grid spacing {text!r}: expected a number or a fraction like 1/64"))
 
 
 def _build_config(config_path, **overrides):
@@ -125,8 +127,6 @@ def residuals(system_file, config_path, h, family, alpha, beta, gamma, delta,
         fwd = forward_residual(sys_def, grid, states, controls)
         split = split_controls(sys_def, grid, states, controls)
         cic = cic_multi(split)
-    except ExpressionError as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
     except (KeyError, TypeError, ValueError) as exc:
         raise click.exceptions.Exit(_fail(str(exc)))
 

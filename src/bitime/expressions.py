@@ -156,11 +156,7 @@ def fields_from_config(cfg: dict, grid: DiscGrid):
         for name in declared:
             if name not in exprs:
                 raise ExpressionError(f"missing {section} entry for {name!r}")
-            fn = compile_expression(exprs[name], ["x", "y"])
-            # off-mask lattice points may hit singularities of the formula;
-            # their values are discarded by grid.field, so errors are muted
-            with np.errstate(all="ignore"):
-                out.append(grid.field(lambda x, y, _fn=fn: np.broadcast_to(_fn(x, y), x.shape)))
+            out.append(grid.field(compile_expression(exprs[name], ["x", "y"])))
         return tuple(out)
 
     return (build("state_fields", cfg.get("states", [])),

@@ -7,12 +7,16 @@ singularities).  First derivatives use centered stencils wherever both
 neighbours exist and one-sided second-order stencils at the mask edge, so
 everything stays O(h^2).  Boundary data are never extrapolated from the
 grid; the unit circle is sampled parametrically (`boundary_samples`).
+
+Closed forms f(x, y) reach the grid only through `DiscGrid.sample`, which
+evaluates them on masked nodes alone and stores zeros elsewhere, so a
+formula may be singular anywhere off the mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,7 +26,6 @@ __all__ = [
     "DiscGrid",
     "ScalarField",
     "AngleField",
-    "BoundarySample",
     "build_disc_grid",
     "partial",
     "boundary_samples",
@@ -75,10 +78,13 @@ _BACKWARD = 2
 _NONE = -1
 
 
-def _shift(a: np.ndarray, k: int, axis: int) -> np.ndarray:
-    # Wrap-around from np.roll never reaches a used node: the lattice carries
-    # a two-ring padding outside the unit disc that is always masked off.
-    return np.roll(a, -k, axis=axis)
+def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """a shifted by +1, -1, +2, -2 lattice steps along axis: (up1, dn1, up2, dn2).
+
+    Wrap-around from np.roll never reaches a used node: the lattice carries
+    a two-ring padding outside the unit disc that is always masked off.
+    """
+    return tuple(np.roll(a, -k, axis=axis) for k in (1, -1, 2, -2))
 
 
 class DiscGrid:
@@ -106,10 +112,7 @@ class DiscGrid:
 
     def _stencil_codes(self, axis: int) -> np.ndarray:
         m = self.mask
-        up1 = _shift(m, 1, axis)
-        dn1 = _shift(m, -1, axis)
-        up2 = _shift(m, 2, axis)
-        dn2 = _shift(m, -2, axis)
+        up1, dn1, up2, dn2 = _neighbours(m, axis)
         code = np.full(self.shape, _NONE, dtype=np.int8)
         code[m & up1 & dn1] = _CENTERED
         fwd = m & (code == _NONE) & up1 & up2
@@ -137,7 +140,7 @@ class DiscGrid:
         ok = self.mask.copy()
         for ax in (0, 1):
             for k in range(1, radius + 1):
-                ok &= _shift(self.mask, k, ax) & _shift(self.mask, -k, ax)
+                ok &= np.roll(self.mask, k, ax) & np.roll(self.mask, -k, ax)
         return ok
 
     def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,14 +151,34 @@ class DiscGrid:
         ii, jj = self._node_idx
         return data[ii, jj]
 
+    def sample(self, f: Callable) -> tuple["ScalarField", ...]:
+        """Evaluate a closed form f(x, y) on the masked nodes, one field per output.
+
+        f receives the masked node coordinates as 1-d arrays and returns one
+        value or a tuple of values (arrays of that length, or scalars).
+        Off-mask entries are zero.  A division by zero, invalid operation or
+        overflow on a masked node raises ValueError.
+        """
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            try:
+                out = f(self.X[self.mask], self.Y[self.mask])
+            except FloatingPointError as exc:
+                raise ValueError(f"closed form is not finite on the mask: {exc}") from None
+        fields = []
+        for values in (out if isinstance(out, tuple) else (out,)):
+            data = np.zeros(self.shape)
+            data[self.mask] = values
+            fields.append(ScalarField(self, data))
+        return tuple(fields)
+
     def field(self, values) -> "ScalarField":
         """Build a field from a constant, a full 2-d array, or a callable f(x, y)."""
         if callable(values):
-            data = np.where(self.mask, values(self.X, self.Y), 0.0)
-        else:
-            data = np.broadcast_to(np.asarray(values, dtype=float), self.shape).copy()
-            data[~self.mask] = 0.0
-        return ScalarField(self, np.asarray(data, dtype=float))
+            (f,) = self.sample(values)
+            return f
+        data = np.broadcast_to(np.asarray(values, dtype=float), self.shape).copy()
+        data[~self.mask] = 0.0
+        return ScalarField(self, data)
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros(self.shape))
@@ -189,10 +212,7 @@ def build_disc_grid(h: float, margin: float | None = None,
     while True:
         ok = mask.copy()
         for ax in (0, 1):
-            up1 = _shift(mask, 1, ax)
-            dn1 = _shift(mask, -1, ax)
-            up2 = _shift(mask, 2, ax)
-            dn2 = _shift(mask, -2, ax)
+            up1, dn1, up2, dn2 = _neighbours(mask, ax)
             ok &= (up1 & dn1) | (up1 & up2) | (dn1 & dn2)
         if np.array_equal(ok, mask):
             break
@@ -298,10 +318,7 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     ax = axis - 1
     a = f.data
     code = g._stencils[ax]
-    up1 = _shift(a, 1, ax)
-    dn1 = _shift(a, -1, ax)
-    up2 = _shift(a, 2, ax)
-    dn2 = _shift(a, -2, ax)
+    up1, dn1, up2, dn2 = _neighbours(a, ax)
     two_h = 2.0 * g.h
     out = np.zeros_like(a)
     c = code == _CENTERED
@@ -313,26 +330,16 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(g, out)
 
 
-@dataclass(frozen=True)
-class BoundarySample:
-    """A quadrature point on the unit circle with its outward normal."""
+def boundary_samples(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of m equally spaced points theta_k = 2 pi k / m on S^1.
 
-    point: tuple[float, float]
-    normal: tuple[float, float]
-    weight: float
-
-
-def boundary_samples(m: int) -> list[BoundarySample]:
-    """m equally spaced samples theta_k = 2 pi k / m; normal = point on S^1."""
+    On the unit circle these are also the outward normals; each sample
+    carries the quadrature weight 2 pi / m.
+    """
     if m < 1:
         raise ValueError("need at least one boundary sample")
-    out = []
-    w = 2.0 * math.pi / m
-    for k in range(m):
-        th = 2.0 * math.pi * k / m
-        p = (math.cos(th), math.sin(th))
-        out.append(BoundarySample(point=p, normal=p, weight=w))
-    return out
+    th = 2.0 * math.pi * np.arange(m) / m
+    return np.cos(th), np.sin(th)
 
 
 def line_integral(grid: DiscGrid, sampler: Callable, path: Sequence[tuple[float, float]],

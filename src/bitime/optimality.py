@@ -19,13 +19,13 @@ Residuals evaluated here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import AngleField, BoundarySample, DiscGrid, ScalarField, partial
-from .systems import QuasiLinearSystem, state_value
+from .grid import DiscGrid, ScalarField, partial
+from .systems import QuasiLinearSystem, nest_array, state_value
 
 __all__ = [
     "CostateBundle",
@@ -87,21 +87,10 @@ class MultiplierSystem:
     rhs: tuple[Callable, ...]       # (x, y, states, controls) -> 2-vector
 
     def matrix(self, i: int, x, y, states, controls) -> np.ndarray:
-        raw = self.matrices[i - 1](x, y, states, controls)
-        shape = np.shape(x)
-        out = np.empty((2, 2) + shape)
-        for b in range(2):
-            for al in range(2):
-                out[b, al] = np.broadcast_to(raw[b][al], shape)
-        return out
+        return nest_array(self.matrices[i - 1](x, y, states, controls), np.shape(x), 2)
 
     def rhs_value(self, i: int, x, y, states, controls) -> np.ndarray:
-        raw = self.rhs[i - 1](x, y, states, controls)
-        shape = np.shape(x)
-        out = np.empty((2,) + shape)
-        for b in range(2):
-            out[b] = np.broadcast_to(raw[b], shape)
-        return out
+        return nest_array(self.rhs[i - 1](x, y, states, controls), np.shape(x), 1)
 
 
 def split_multiplier_system(sys: QuasiLinearSystem, state_kinds: Sequence[str] | None = None
@@ -122,13 +111,11 @@ def split_multiplier_system(sys: QuasiLinearSystem, state_kinds: Sequence[str] |
                 return (controls[base], controls[base + 1])
         else:
             def f(x, y, states, controls):
-                b = sys.b(x, y, states, controls[:nn])
-                f1 = np.broadcast_to(b[0], np.shape(x)).astype(float).copy()
-                f2 = np.broadcast_to(b[1], np.shape(x)).astype(float).copy()
+                out = nest_array(sys.b(x, y, states, controls[:nn]), np.shape(x), 1)
                 for j in range(n - 1):
-                    f1 = f1 - controls[nn + 2 * j]
-                    f2 = f2 - controls[nn + 2 * j + 1]
-                return (f1, f2)
+                    out[0] -= controls[nn + 2 * j]
+                    out[1] -= controls[nn + 2 * j + 1]
+                return out
         return f
 
     def make_matrix(i):
@@ -286,19 +273,18 @@ def costate_residual(msys: MultiplierSystem, cost: CostBundle, grid: DiscGrid,
 
 
 def transversality_residual(msys: MultiplierSystem, cost: CostBundle,
-                            samples: Sequence[BoundarySample],
+                            samples: tuple[np.ndarray, np.ndarray],
                             state_samplers: Sequence[Callable],
                             costate_samplers: Sequence[Callable],
                             control_samplers: Sequence[Callable] = ()) -> list[np.ndarray]:
     """dg/dx^i - p^i_beta M_i^{beta alpha} n_alpha at each circle sample.
 
-    All inputs are closed-form samplers of (x, y); nothing is read off the
-    grid, so the machine-precision boundary identities are checked exactly.
+    `samples` is the (x, y) pair of circle points from `boundary_samples`,
+    which are also the normals n.  All other inputs are closed-form
+    samplers of (x, y); nothing is read off the grid, so the
+    machine-precision boundary identities are checked exactly.
     """
-    xs = np.array([s.point[0] for s in samples])
-    ys = np.array([s.point[1] for s in samples])
-    n1 = np.array([s.normal[0] for s in samples])
-    n2 = np.array([s.normal[1] for s in samples])
+    xs, ys = samples  # also the normals n
     states = [f(xs, ys) for f in state_samplers]
     controls = [np.broadcast_to(f(xs, ys), xs.shape) for f in control_samplers]
     out = []
@@ -312,7 +298,7 @@ def transversality_residual(msys: MultiplierSystem, cost: CostBundle,
             dg = (gp - gm) / (2.0 * _FD_STEP)
         m = msys.matrix(i, xs, ys, states, controls)
         p1, p2 = costate_samplers[i - 1](xs, ys)
-        flux = (p1 * (m[0, 0] * n1 + m[0, 1] * n2)
-                + p2 * (m[1, 0] * n1 + m[1, 1] * n2))
+        flux = (p1 * (m[0, 0] * xs + m[0, 1] * ys)
+                + p2 * (m[1, 0] * xs + m[1, 1] * ys))
         out.append(np.asarray(dg - flux))
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AngleField, BoundarySample, DiscGrid, ExclusionZone, ScalarField, partial
+from .grid import AngleField, DiscGrid, ExclusionZone, ScalarField, partial
 from .optimality import CostateBundle, CostBundle, MultiplierSystem
 from .systems import QuasiLinearSystem
 
@@ -65,14 +65,7 @@ def phi_star(x, y):
 
 
 def phi_star_field(grid: DiscGrid) -> AngleField:
-    r2 = grid.X**2 + grid.Y**2
-    safe = np.where(grid.mask, r2, 1.0)
-    if np.any(safe == 0.0):
-        raise ValueError("angle singular at origin")
-    c = np.where(grid.mask, (grid.Y**2 - grid.X**2) / safe, 1.0)
-    s = np.where(grid.mask, 2.0 * grid.X * grid.Y / safe, 0.0)
-    # off-mask placeholders are (1, 0) so the unit-norm check passes everywhere
-    return AngleField(ScalarField(grid, c), ScalarField(grid, s))
+    return AngleField(*grid.sample(phi_star))
 
 
 @dataclass(frozen=True)
@@ -109,23 +102,22 @@ class Family:
             return (ExclusionZone("half_y", self.eps0),)
         return (ExclusionZone("origin", self.eps0),)
 
-    def _singular(self, x, y):
+    def _domain(self, x, y):
+        """(x, y) as float arrays; raises if any point is on the singular set."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == "inv_x":
-            return x == 0.0
-        if self.kind == "inv_y":
-            return y == 0.0
-        return x * x + y * y == 0.0
-
-    def _check(self, x, y):
-        if np.any(self._singular(x, y)):
+            singular = x == 0.0
+        elif self.kind == "inv_y":
+            singular = y == 0.0
+        else:
+            singular = x * x + y * y == 0.0
+        if np.any(singular):
             raise ValueError("family singular here")
+        return x, y
 
     def k(self, x, y):
-        self._check(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self._domain(x, y)
         if self.kind == "quadratic":
             return self.coeff * (x * x + y * y)
         if self.kind == "inv_x":
@@ -135,9 +127,7 @@ class Family:
         return self.coeff * np.ones(np.shape(x))
 
     def rho(self, x, y):
-        self._check(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self._domain(x, y)
         if self.kind == "quadratic":
             return -2.0 * self.coeff * (x * x + y * y) + self.c0
         if self.kind == "inv_x":
@@ -147,9 +137,7 @@ class Family:
         return -self.coeff * np.log(x * x + y * y) + self.c0
 
     def k_grad(self, x, y):
-        self._check(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self._domain(x, y)
         zero = np.zeros(np.shape(x))
         if self.kind == "quadratic":
             return 2.0 * self.coeff * x, 2.0 * self.coeff * y
@@ -160,9 +148,7 @@ class Family:
         return zero, zero
 
     def rho_grad(self, x, y):
-        self._check(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self._domain(x, y)
         zero = np.zeros(np.shape(x))
         if self.kind == "quadratic":
             return -4.0 * self.coeff * x, -4.0 * self.coeff * y
@@ -174,28 +160,14 @@ class Family:
         return -2.0 * self.coeff * x / r2, -2.0 * self.coeff * y / r2
 
 
-def _family_field(grid: DiscGrid, family: Family, f) -> ScalarField:
-    bad = family._singular(grid.X, grid.Y) & grid.mask
-    if bad.any():
-        raise ValueError("family singular here")
-    x = np.where(grid.mask, grid.X, _safe_point(family))
-    y = np.where(grid.mask, grid.Y, _safe_point(family))
-    return grid.field(np.asarray(f(x, y), dtype=float))
-
-
-def _safe_point(family: Family) -> float:
-    # any coordinate at which every family expression is finite
-    return 0.5
-
-
 def k_family(grid: DiscGrid, family: Family) -> ScalarField:
     """K of the family sampled on the grid; raises off the family's domain."""
-    return _family_field(grid, family, family.k)
+    return grid.field(family.k)
 
 
 def rho_family(grid: DiscGrid, family: Family) -> ScalarField:
     """rho of the family sampled on the grid; raises off the family's domain."""
-    return _family_field(grid, family, family.rho)
+    return grid.field(family.rho)
 
 
 @dataclass(frozen=True)
@@ -234,17 +206,13 @@ def canonical_controls(grid: DiscGrid, family: Family) -> tuple[ScalarField, ...
     (u, v) = grad rho; (mu, nu) solve the rotated K-equation, i.e.
     mu = -c K_x + s K_y, nu = s K_x + c K_y with (c, s) = phi*.
     """
-    bad = family._singular(grid.X, grid.Y) & grid.mask
-    if bad.any():
-        raise ValueError("family singular here")
-    x = np.where(grid.mask, grid.X, _safe_point(family))
-    y = np.where(grid.mask, grid.Y, _safe_point(family))
-    u, v = family.rho_grad(x, y)
-    kx, ky = family.k_grad(x, y)
-    c, s = phi_star(np.where(grid.mask, grid.X, 0.5), np.where(grid.mask, grid.Y, 0.5))
-    mu = -c * kx + s * ky
-    nu = s * kx + c * ky
-    return tuple(grid.field(np.asarray(a, dtype=float)) for a in (u, v, mu, nu))
+    def controls(x, y):
+        u, v = family.rho_grad(x, y)
+        kx, ky = family.k_grad(x, y)
+        c, s = phi_star(x, y)
+        return u, v, -c * kx + s * ky, s * kx + c * ky
+
+    return grid.sample(controls)
 
 
 def _phi_cs(value):
@@ -368,27 +336,25 @@ def k_equation_residual(k: ScalarField) -> ScalarField:
     return g.field(out)
 
 
-def costates_star(x, y):
+def costates_star(x, y, q1_shift: float = 0.0):
     """Closed-form costates (p1, p2, r1, r2, q1, q2) of the angle-cost problem.
 
     p = (y, -x); q1 = y s - x c, q2 = y c + x s with (c, s) = phi*;
-    r = (-q2, q1).
+    r = (-q2, q1).  A nonzero q1_shift is the negative control: it is added
+    to the returned q1 only (r keeps the exact q1).
     """
     c, s = phi_star(x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     q1 = y * s - x * c
     q2 = y * c + x * s
-    return y, -x, -q2, q1, q1, q2
+    return y, -x, -q2, q1, q1 + q1_shift, q2
 
 
-def costate_bundle_star(grid: DiscGrid) -> CostateBundle:
+def costate_bundle_star(grid: DiscGrid, q1_shift: float = 0.0) -> CostateBundle:
     """The closed-form costates as fields, ordered (p, r, q) to match (rho, K, phi)."""
-    x = np.where(grid.mask, grid.X, 0.5)
-    y = np.where(grid.mask, grid.Y, 0.5)
-    p1, p2, r1, r2, q1, q2 = costates_star(x, y)
-    f = lambda a: grid.field(np.asarray(a, dtype=float))
-    return CostateBundle(components=((f(p1), f(p2)), (f(r1), f(r2)), (f(q1), f(q2))))
+    p1, p2, r1, r2, q1, q2 = grid.sample(lambda x, y: costates_star(x, y, q1_shift))
+    return CostateBundle(components=((p1, p2), (r1, r2), (q1, q2)))
 
 
 def costate_system_residual(p1: ScalarField, p2: ScalarField,
@@ -407,13 +373,13 @@ def costate_system_residual(p1: ScalarField, p2: ScalarField,
     return l1, l2, l3
 
 
-def boundary_condition_residual(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Circle conditions p.n, q.n - 1, r.n from the closed-form costates."""
-    xs = np.array([s.point[0] for s in samples])
-    ys = np.array([s.point[1] for s in samples])
-    n1 = np.array([s.normal[0] for s in samples])
-    n2 = np.array([s.normal[1] for s in samples])
-    p1, p2, r1, r2, q1, q2 = costates_star(xs, ys)
-    return (p1 * n1 + p2 * n2,
-            q1 * n1 + q2 * n2 - 1.0,
-            r1 * n1 + r2 * n2)
+def boundary_condition_residual(x, y, q1_shift: float = 0.0
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circle conditions p.n, q.n - 1, r.n from the closed-form costates.
+
+    (x, y) are points of S^1 (see `boundary_samples`), so n = (x, y).
+    """
+    p1, p2, r1, r2, q1, q2 = costates_star(x, y, q1_shift)
+    return (p1 * x + p2 * y,
+            q1 * x + q2 * y - 1.0,
+            r1 * x + r2 * y)

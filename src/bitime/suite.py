@@ -17,25 +17,27 @@ the equations they discretise:
 Tolerance model: O(h^2) conditions use C * h^2.  The generic default is
 C = 10, but the raw (unnormalised) residuals of the singular families carry
 much larger constants, so the defaults are calibrated per condition and
-family from a measured convergence run (stored in DEFAULT_TOLERANCE_C with
-a 2.5x safety margin); a config `tolerance_c` overrides them globally.
+family (DEFAULT_TOLERANCE_C, see the margin stated there); a config
+`tolerance_c` overrides them globally.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import DiscGrid, ScalarField, boundary_samples, build_disc_grid, write_csv
 from .integrability import plastic_cic
-from .optimality import CostateBundle, stationarity_residual
-from .plastic import (Family, build_state, canonical_controls, costates_star,
+from .optimality import stationarity_residual
+from .plastic import (Family, boundary_condition_residual, build_state,
+                      canonical_controls, costate_bundle_star,
                       costate_system_residual, k_equation_residual,
-                      equilibrium_residual, phi_star, plastic_cost,
+                      equilibrium_residual, plastic_cost,
                       plastic_multiplier_system, plastic_system,
                       stress_from_polar)
 from .systems import cross_triple, forward_residual, split_controls
@@ -54,10 +56,12 @@ _EXACT_TOL = 1e-12
 
 _COEFF_KEY = {"quadratic": "alpha", "inv_x": "beta", "inv_y": "gamma", "constant": "delta"}
 
-# Calibrated C in tolerance = C * h^2, measured at h = 1/64 on the default
-# zones and multiplied by 4 (the full-grid max norm includes the one-sided
-# edge nodes, whose distance to the zone boundary jitters with h).
-# Conditions absent here fall back to C = 10.
+# Calibrated C in tolerance = C * h^2, from max norms measured at h = 1/64 on
+# the default zones (eps0 = 0.1, coefficient 1).  Headroom (tolerance over
+# max norm) is 4.08x to 16.6x at h = 1/64 and shrinks as h falls, because the
+# full-grid max norm includes one-sided edge nodes whose distance to the zone
+# boundary jitters with h: the smallest is 1.23x, for constant (8.1) and
+# (8.2) at h = 1/512.  Conditions absent here fall back to C = 10.
 DEFAULT_TOLERANCE_C = {
     ("quadratic", "(8.1)"): 80.0,
     ("quadratic", "(8.2)"): 80.0,
@@ -113,6 +117,10 @@ class RunConfig:
              "delta", "c0", "tolerance_c", "perturb_q1", "out")
 
     def __post_init__(self):
+        if isinstance(self.h, bool) or not isinstance(self.h, numbers.Real):
+            raise ValueError(f"h must be a number, got {self.h!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if not 0 < self.h <= 0.25:
             raise ValueError("grid too coarse: h must be in (0, 0.25]")
         if self.m < 8:
@@ -192,15 +200,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _perturbed_costates(grid: DiscGrid, delta: float) -> CostateBundle:
-    x = np.where(grid.mask, grid.X, 0.5)
-    y = np.where(grid.mask, grid.Y, 0.5)
-    p1, p2, r1, r2, q1, q2 = costates_star(x, y)
-    q1 = q1 + delta
-    f = lambda a: grid.field(np.asarray(a, dtype=float))
-    return CostateBundle(components=((f(p1), f(p2)), (f(r1), f(r2)), (f(q1), f(q2))))
-
-
 def _residual_fields(config: RunConfig, grid: DiscGrid):
     """All grid-based residual fields of the suite, keyed by condition name."""
     family = config.make_family()
@@ -238,7 +237,7 @@ def _residual_fields(config: RunConfig, grid: DiscGrid):
     keq = k_equation_residual(state.k)
     out["(K-equation)"] = grid.field(np.where(grid.interior_mask(2), keq.data, 0.0))
 
-    costates = _perturbed_costates(grid, config.perturb_q1)
+    costates = costate_bundle_star(grid, config.perturb_q1)
     msys = plastic_multiplier_system()
     cost = plastic_cost()
     stat = stationarity_residual(msys, cost, grid, states, (u, v, mu, nu), costates)
@@ -267,16 +266,9 @@ def run_verify(config: RunConfig) -> Report:
                                        l2_norm=f.l2_norm(), scale=grid.h,
                                        tolerance=tol))
 
-    samples = boundary_samples(config.m)
-    xs = np.array([s.point[0] for s in samples])
-    ys = np.array([s.point[1] for s in samples])
-    p1, p2, r1, r2, q1, q2 = costates_star(xs, ys)
-    q1 = q1 + config.perturb_q1
-    n1, n2 = xs, ys
     w = 2.0 * math.pi / config.m
-    for name, res in (("(27.1)", p1 * n1 + p2 * n2),
-                      ("(27.2)", q1 * n1 + q2 * n2 - 1.0),
-                      ("(27.3)", r1 * n1 + r2 * n2)):
+    rows = boundary_condition_residual(*boundary_samples(config.m), config.perturb_q1)
+    for name, res in zip(("(27.1)", "(27.2)", "(27.3)"), rows):
         results.append(ConditionResult(
             condition=name, max_norm=float(np.abs(res).max()),
             l2_norm=float(math.sqrt(float((res * res).sum()) * w)),

@@ -33,6 +33,20 @@ MatrixEval = Callable[..., Sequence[Sequence[np.ndarray]]]
 RhsEval = Callable[..., Sequence[np.ndarray]]
 
 
+def nest_array(raw, shape, rank: int) -> np.ndarray:
+    """A 2-vector (rank 1) or 2x2 nest (rank 2) of arrays/scalars as one array.
+
+    The result has shape (2,) * rank + shape; entries broadcast into place.
+    """
+    out = np.empty((2,) * rank + tuple(shape))
+    for idx in np.ndindex(*out.shape[:rank]):
+        entry = raw
+        for k in idx:
+            entry = entry[k]
+        out[idx] = entry
+    return out
+
+
 @dataclass(frozen=True)
 class QuasiLinearSystem:
     """n coefficient matrices plus right-hand side; evaluators are stateless."""
@@ -49,20 +63,14 @@ class QuasiLinearSystem:
     def matrix(self, i: int, grid: DiscGrid, state_values, control_values) -> np.ndarray:
         """A_i on the whole grid, shape (2, 2) + grid.shape.  i is 1-based."""
         raw = self.a[i - 1](grid.X, grid.Y, state_values, control_values)
-        out = np.empty((2, 2) + grid.shape)
-        for b in range(2):
-            for al in range(2):
-                out[b, al] = np.broadcast_to(raw[b][al], grid.shape)
+        out = nest_array(raw, grid.shape, 2)
         if not np.all(np.isfinite(out[:, :, grid.mask])):
             raise ValueError(f"coefficient matrix A_{i} is not finite on the mask")
         return out
 
     def rhs(self, grid: DiscGrid, state_values, control_values) -> np.ndarray:
         raw = self.b(grid.X, grid.Y, state_values, control_values)
-        out = np.empty((2,) + grid.shape)
-        for b in range(2):
-            out[b] = np.broadcast_to(raw[b], grid.shape)
-        return out
+        return nest_array(raw, grid.shape, 1)
 
 
 def state_value(f):
@@ -72,10 +80,6 @@ def state_value(f):
     if isinstance(f, ScalarField):
         return f.data
     raise TypeError("states must be ScalarField or AngleField")
-
-
-def state_gradient(f, axis: int) -> ScalarField:
-    return f.partial(axis)
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,8 @@ def split_controls(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) 
     v = []
     for i in range(1, sys.n):
         a = sys.matrix(i, grid, sv, cv)
-        gx = state_gradient(states[i - 1], 1).data
-        gy = state_gradient(states[i - 1], 2).data
+        gx = states[i - 1].partial(1).data
+        gy = states[i - 1].partial(2).data
         v1 = a[0, 0] * gx + a[0, 1] * gy
         v2 = a[1, 0] * gx + a[1, 1] * gy
         v.append((grid.field(v1), grid.field(v2)))
@@ -135,9 +139,7 @@ def cross_triple(split: SplitSystem, i: int) -> CrossTriple:
         w1 = split.v[i - 1][0].data
         w2 = split.v[i - 1][1].data
     else:
-        b = sys.rhs(grid, sv, cv)
-        w1 = b[0].copy()
-        w2 = b[1].copy()
+        w1, w2 = sys.rhs(grid, sv, cv)
         for vj in split.v:
             w1 -= vj[0].data
             w2 -= vj[1].data
@@ -159,8 +161,8 @@ def forward_residual(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()
     res = [-b[0], -b[1]]
     for i in range(1, sys.n + 1):
         a = sys.matrix(i, grid, sv, cv)
-        gx = state_gradient(states[i - 1], 1).data
-        gy = state_gradient(states[i - 1], 2).data
+        gx = states[i - 1].partial(1).data
+        gy = states[i - 1].partial(2).data
         res[0] = res[0] + a[0, 0] * gx + a[0, 1] * gy
         res[1] = res[1] + a[1, 0] * gx + a[1, 1] * gy
     return grid.field(res[0]), grid.field(res[1])

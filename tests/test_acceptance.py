@@ -150,7 +150,7 @@ def test_criterion_05_maximum_principle():
                        str(convergence_table("quadratic")[f"(28.{j})"]["ratios"])))
 
     from bitime.plastic import boundary_condition_residual
-    rows = boundary_condition_residual(boundary_samples(360))
+    rows = boundary_condition_residual(*boundary_samples(360))
     worst = max(np.abs(r).max() for r in rows)
     checks.append(("transversality (27) <= 1e-12 at m=360", worst <= 1e-12,
                    f"max={worst:.3e}"))

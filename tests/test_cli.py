@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,16 @@ def write_json(path, data):
         json.dump(data, fh)
     return str(path)
 
+
+def assert_usage_error(result):
+    """Exit 2 with exactly one `error:` line on stderr and no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+BAD_H = ["1/0", "abc"]
 
 PLASTIC_SYSTEM = {
     "states": ["rho", "K", "phi"],
@@ -69,6 +80,15 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--config", "/nonexistent.json"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("h", BAD_H)
+    def test_unparsable_h(self, runner, h):
+        assert_usage_error(runner.invoke(main, ["verify", "--h", h]))
+
+    @pytest.mark.parametrize("cfg", [{"m": 8.5}, {"m": 400.0}, {"h": "1/64"}])
+    def test_config_types(self, runner, tmp_path, cfg):
+        path = write_json(tmp_path / "c.json", cfg)
+        assert_usage_error(runner.invoke(main, ["verify", "--config", path]))
+
     def test_family_flag(self, runner):
         result = runner.invoke(main, ["verify", "--h", "1/32",
                                       "--family", "constant", "--delta", "2.0"])
@@ -117,6 +137,25 @@ class TestResiduals:
         for name, value in want.items():
             assert abs(got[name] - value) <= 1e-10 * max(1.0, value), name
 
+    @pytest.mark.parametrize("h", BAD_H)
+    def test_unparsable_h(self, runner, tmp_path, h):
+        spec = write_json(tmp_path / "s.json", PLASTIC_SYSTEM)
+        assert_usage_error(runner.invoke(main, ["residuals", spec, "--h", h]))
+
+    def test_formula_singular_on_mask(self, runner, tmp_path):
+        # no zones: the origin is a masked node, where 1/x is singular
+        spec = write_json(tmp_path / "s.json", {
+            "states": ["w"], "controls": [],
+            "A": [[["1", "0"], ["0", "1"]]], "B": ["0", "0"],
+            "state_fields": {"w": "1/x"}, "control_fields": {},
+            "h": 1 / 32,
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["residuals", spec])
+        assert_usage_error(result)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_malformed_expression(self, runner, tmp_path):
         spec = write_json(tmp_path / "bad.json", {
             "states": ["w"], "controls": [],
@@ -141,6 +180,10 @@ class TestConvergence:
     def test_non_halving(self, runner):
         result = runner.invoke(main, ["convergence", "--h-values", "1/32,1/48"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("h_values", ["1/0", "1/32,abc"])
+    def test_unparsable_h_values(self, runner, h_values):
+        assert_usage_error(runner.invoke(main, ["convergence", "--h-values", h_values]))
 
 
 class TestFields:
@@ -169,6 +212,11 @@ class TestFields:
             next(fh)
             for line in fh:
                 assert abs(float(line.split(",")[0])) >= 0.1 - 1e-12
+
+    @pytest.mark.parametrize("h", BAD_H)
+    def test_unparsable_h(self, runner, tmp_path, h):
+        assert_usage_error(runner.invoke(main, ["fields", "--h", h,
+                                                "--out", str(tmp_path)]))
 
     def test_unwritable_path(self, runner):
         result = runner.invoke(main, ["fields", "--h", "1/32",

@@ -106,6 +106,24 @@ class TestPartial:
 
 
 class TestFields:
+    def test_field_samples_masked_nodes_only(self):
+        # 1/x is singular on the excluded line x = 0, which lies off the mask
+        grid = build_disc_grid(1 / 32, zones=[ExclusionZone("half_x", 0.1)])
+        with np.errstate(all="raise"):
+            f = grid.field(lambda x, y: 1.0 / x)
+        assert np.array_equal(f.data[grid.mask], 1.0 / grid.X[grid.mask])
+        assert not f.data[~grid.mask].any()
+
+    def test_sample_one_field_per_output(self, grid32):
+        a, b = grid32.sample(lambda x, y: (x * y, 2.0))
+        assert np.array_equal(a.data[grid32.mask], (grid32.X * grid32.Y)[grid32.mask])
+        assert np.all(b.data[grid32.mask] == 2.0)
+        assert not a.data[~grid32.mask].any() and not b.data[~grid32.mask].any()
+
+    def test_sample_singular_on_mask_rejected(self, grid32):
+        with pytest.raises(ValueError, match="not finite on the mask"):
+            grid32.field(lambda x, y: 1.0 / x)
+
     def test_nonfinite_rejected(self, grid32):
         data = np.full(grid32.shape, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
@@ -147,24 +165,28 @@ class TestFields:
 
 class TestBoundarySamples:
     def test_m4_cardinal_points(self):
-        pts = [s.point for s in boundary_samples(4)]
+        xs, ys = boundary_samples(4)
         expect = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        for p, q in zip(pts, expect):
-            assert math.isclose(p[0], q[0], abs_tol=1e-14)
-            assert math.isclose(p[1], q[1], abs_tol=1e-14)
+        for x, y, q in zip(xs, ys, expect):
+            assert math.isclose(x, q[0], abs_tol=1e-14)
+            assert math.isclose(y, q[1], abs_tol=1e-14)
 
     def test_m8_diagonal(self):
-        s = boundary_samples(8)[1]
-        assert math.isclose(s.point[0], math.sqrt(2) / 2, abs_tol=1e-14)
-        assert s.normal == s.point
+        xs, ys = boundary_samples(8)
+        assert math.isclose(xs[1], math.sqrt(2) / 2, abs_tol=1e-14)
+        assert math.isclose(ys[1], math.sqrt(2) / 2, abs_tol=1e-14)
 
     def test_circumference(self):
-        total = sum(s.weight for s in boundary_samples(360))
-        assert math.isclose(total, 2 * math.pi, abs_tol=1e-10)
+        # the closed polygon through the samples has perimeter
+        # 2 m sin(pi / m) = 2 pi - O(m^-2)
+        xs, ys = boundary_samples(360)
+        total = np.hypot(np.diff(xs, append=xs[0]), np.diff(ys, append=ys[0])).sum()
+        assert math.isclose(total, 2 * 360 * math.sin(math.pi / 360), abs_tol=1e-12)
+        assert math.isclose(total, 2 * math.pi, abs_tol=1e-4)
 
     def test_unit_circle(self):
-        for s in boundary_samples(12):
-            assert math.isclose(s.point[0]**2 + s.point[1]**2, 1.0, abs_tol=1e-14)
+        xs, ys = boundary_samples(12)
+        assert np.abs(xs**2 + ys**2 - 1.0).max() <= 1e-14
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):

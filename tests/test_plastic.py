@@ -261,12 +261,12 @@ class TestCostateSystem:
 
 class TestBoundaryConditions:
     def test_360_samples(self):
-        res = boundary_condition_residual(boundary_samples(360))
+        res = boundary_condition_residual(*boundary_samples(360))
         for row in res:
             assert np.abs(row).max() <= 1e-12
 
     def test_m4(self):
-        res = boundary_condition_residual(boundary_samples(4))
+        res = boundary_condition_residual(*boundary_samples(4))
         for row in res:
             assert np.abs(row).max() <= 1e-12
 

@@ -26,6 +26,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="boundary samples"):
             RunConfig(m=4)
 
+    @pytest.mark.parametrize("m", [8.5, 400.0, True, "360"])
+    def test_m_must_be_integer(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            RunConfig.from_dict({"m": m})
+
+    @pytest.mark.parametrize("h", ["1/64", None, True])
+    def test_h_must_be_number(self, h):
+        with pytest.raises(ValueError, match="h must be a number"):
+            RunConfig.from_dict({"h": h})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = RunConfig(h=np.float64(1 / 32), m=np.int64(16))
+        assert cfg.m == 16
+
     def test_family_checked(self):
         with pytest.raises(ValueError, match="unknown family"):
             RunConfig(family="cubic")
