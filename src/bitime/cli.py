@@ -108,8 +108,6 @@ def verify(config_path, h, family, alpha, beta, gamma, delta, out, as_json):
 def residuals(system_file, config_path, h, family, alpha, beta, gamma, delta,
               out, as_json):
     """Forward and integrability residual norms for a config-defined system."""
-    import numpy as np
-
     from .expressions import fields_from_config, system_from_config
     from .grid import ExclusionZone, build_disc_grid
     from .integrability import cic_multi

@@ -5,14 +5,17 @@ the variables (x, y, state symbols, control symbols).  Supported syntax:
 numbers, names, + - * /, powers (** or ^), unary minus, and the calls
 sin, cos, atan2 (atan2 is an extension beyond polynomials + sin/cos: it is
 what lets a config express a single-valued angle sheet on a half-plane).
+Every numeric literal is a float64, so "9**9**9" overflows to inf at once
+instead of running Python integer arithmetic.
 
-Parsing errors carry the 1-based line and column of the offending token.
+Expressions compile to a tree of closures (no `eval`).  Errors carry the
+1-based line and column of the offending token.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,9 +31,11 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "atan2": np.arctan2}
-
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_UNARYOPS = (ast.USub, ast.UAdd)
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARYOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+# Deepest expression tree accepted; a sum of n terms is n levels deep.
+_MAX_DEPTH = 200
 
 
 class ExpressionError(ValueError):
@@ -42,62 +47,68 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-def _validate(node: ast.AST, names: set[str], src: str) -> None:
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.Expression, ast.Constant, ast.Load)):
-            if isinstance(sub, ast.Constant) and not isinstance(sub.value, (int, float)):
-                raise ExpressionError("only numeric constants are allowed",
-                                      sub.lineno, sub.col_offset + 1)
-        elif isinstance(sub, ast.BinOp):
-            if not isinstance(sub.op, _BINOPS):
-                raise ExpressionError("operator not allowed", sub.lineno, sub.col_offset + 1)
-        elif isinstance(sub, ast.UnaryOp):
-            if not isinstance(sub.op, _UNARYOPS):
-                raise ExpressionError("operator not allowed", sub.lineno, sub.col_offset + 1)
-        elif isinstance(sub, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
-                              ast.USub, ast.UAdd)):
-            pass
-        elif isinstance(sub, ast.Call):
-            if (not isinstance(sub.func, ast.Name) or sub.func.id not in _FUNCTIONS
-                    or sub.keywords):
-                raise ExpressionError("only sin, cos, atan2 calls are allowed",
-                                      sub.lineno, sub.col_offset + 1)
-            want = 2 if sub.func.id == "atan2" else 1
-            if len(sub.args) != want:
-                raise ExpressionError(f"{sub.func.id} takes {want} argument(s)",
-                                      sub.lineno, sub.col_offset + 1)
-        elif isinstance(sub, ast.Name):
-            if sub.id in _FUNCTIONS:
-                continue
-            if sub.id not in names:
-                raise ExpressionError(f"unknown symbol {sub.id!r}",
-                                      sub.lineno, sub.col_offset + 1)
-        else:
-            raise ExpressionError("syntax not allowed in expressions",
-                                  getattr(sub, "lineno", 1),
-                                  getattr(sub, "col_offset", 0) + 1)
+def _build(node: ast.AST, index: dict[str, int], depth: int = 0) -> Callable:
+    """Validate `node` and return f(values) evaluating it.
+
+    Numeric literals become float64, so overflow gives inf (raised as an
+    error under `DiscGrid.on_mask`) instead of unbounded integer arithmetic.
+    """
+    where = (getattr(node, "lineno", 1), getattr(node, "col_offset", 0) + 1)
+    if depth > _MAX_DEPTH:
+        raise ExpressionError("expression nested too deeply", *where)
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ExpressionError("only numeric constants are allowed", *where)
+        try:
+            value = np.float64(node.value)
+        except OverflowError:
+            value = np.float64(np.inf)
+        if not np.isfinite(value):
+            raise ExpressionError("numeric literal out of float64 range", *where)
+        return lambda values: value
+    if isinstance(node, ast.Name):
+        if node.id not in index:
+            raise ExpressionError(f"unknown symbol {node.id!r}", *where)
+        k = index[node.id]
+        return lambda values: values[k]
+    if isinstance(node, ast.BinOp):
+        op = _BINOPS.get(type(node.op))
+        if op is None:
+            raise ExpressionError("operator not allowed", *where)
+        left, right = _build(node.left, index, depth + 1), _build(node.right, index, depth + 1)
+        return lambda values: op(left(values), right(values))
+    if isinstance(node, ast.UnaryOp):
+        op = _UNARYOPS.get(type(node.op))
+        if op is None:
+            raise ExpressionError("operator not allowed", *where)
+        arg = _build(node.operand, index, depth + 1)
+        return lambda values: op(arg(values))
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in _FUNCTIONS or node.keywords:
+            raise ExpressionError("only sin, cos, atan2 calls are allowed", *where)
+        want = 2 if name == "atan2" else 1
+        if len(node.args) != want:
+            raise ExpressionError(f"{name} takes {want} argument(s)", *where)
+        fn = _FUNCTIONS[name]
+        args = [_build(arg, index, depth + 1) for arg in node.args]
+        return lambda values: fn(*(arg(values) for arg in args))
+    raise ExpressionError("syntax not allowed in expressions", *where)
 
 
 def compile_expression(src: str, names: Sequence[str]) -> Callable[..., np.ndarray]:
     """Compile `src` into f(*values) with `names` as the positional variables."""
     if not isinstance(src, str):
         raise ExpressionError("expression must be a string")
-    text = src.replace("^", "**")
     try:
-        tree = ast.parse(text, mode="eval")
+        tree = ast.parse(src.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(exc.msg or "syntax error",
                               exc.lineno or 1, exc.offset or 1) from None
-    _validate(tree, set(names), text)
-    code = compile(tree, "<expression>", "eval")
-    glb = {"__builtins__": {}, **_FUNCTIONS}
-    order = list(names)
-
-    def evaluate(*values):
-        env = dict(zip(order, values))
-        return eval(code, glb, env)
-
-    return evaluate
+    except (MemoryError, RecursionError):  # the parser's own nesting limits
+        raise ExpressionError("expression nested too deeply") from None
+    body = _build(tree.body, {name: k for k, name in enumerate(names)})
+    return lambda *values: body(values)
 
 
 def _matrix_entries(raw, n: int):

@@ -30,7 +30,6 @@ __all__ = [
     "partial",
     "boundary_samples",
     "line_integral",
-    "area_integral",
     "write_csv",
 ]
 
@@ -70,6 +69,10 @@ class ExclusionZone:
             return x < self.size - 1e-15
         return y < self.size - 1e-15
 
+
+# Largest (2M+1)^2 lattice build_disc_grid allocates: h = 1/1024 needs
+# 2053^2 = 4.2e6 points.
+_MAX_LATTICE_POINTS = 5_000_000
 
 # Stencil codes per node per axis.
 _CENTERED = 0
@@ -151,19 +154,26 @@ class DiscGrid:
         ii, jj = self._node_idx
         return data[ii, jj]
 
-    def sample(self, f: Callable) -> tuple["ScalarField", ...]:
-        """Evaluate a closed form f(x, y) on the masked nodes, one field per output.
+    def on_mask(self, f: Callable, what: str = "closed form"):
+        """f(x, y) with the masked node coordinates as 1-d arrays.
 
-        f receives the masked node coordinates as 1-d arrays and returns one
-        value or a tuple of values (arrays of that length, or scalars).
-        Off-mask entries are zero.  A division by zero, invalid operation or
-        overflow on a masked node raises ValueError.
+        A division by zero, invalid operation or overflow raises ValueError
+        naming `what`; nodes off the mask are never evaluated.
         """
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
-                out = f(self.X[self.mask], self.Y[self.mask])
+                return f(self.X[self.mask], self.Y[self.mask])
             except FloatingPointError as exc:
-                raise ValueError(f"closed form is not finite on the mask: {exc}") from None
+                raise ValueError(f"{what} is not finite on the mask: {exc}") from None
+
+    def sample(self, f: Callable) -> tuple["ScalarField", ...]:
+        """Evaluate a closed form f(x, y) on the masked nodes, one field per output.
+
+        f returns one value or a tuple of values (arrays over the masked
+        nodes, or scalars); see `on_mask` for the floating-point policy.
+        Off-mask entries are zero.
+        """
+        out = self.on_mask(f)
         fields = []
         for values in (out if isinstance(out, tuple) else (out,)):
             data = np.zeros(self.shape)
@@ -194,6 +204,10 @@ def build_disc_grid(h: float, margin: float | None = None,
     """
     if not 0 < h < 1:
         raise ValueError("grid spacing must satisfy 0 < h < 1")
+    side = 2.0 / h + 5.0  # lattice points per axis, bounded before any allocation
+    if side * side > _MAX_LATTICE_POINTS:
+        raise ValueError(f"grid spacing {h:g} needs about {side * side:.3g} lattice "
+                         f"points, more than the limit of {_MAX_LATTICE_POINTS}")
     if margin is None:
         margin = 2.0 * h
     if not 0 <= margin < 1:
@@ -235,10 +249,6 @@ class ScalarField:
             raise ValueError("field contains non-finite values on the mask")
         self.grid = grid
         self.data = data
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid.node_values(self.data)
 
     def max_norm(self) -> float:
         return float(np.abs(self.data[self.grid.mask]).max())
@@ -300,10 +310,6 @@ class AngleField:
 
     def partial(self, axis: int) -> ScalarField:
         return self.c * partial(self.s, axis) - self.s * partial(self.c, axis)
-
-    def rotated(self, delta: float) -> "AngleField":
-        cd, sd = math.cos(delta), math.sin(delta)
-        return AngleField(self.c * cd - self.s * sd, self.s * cd + self.c * sd)
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:
@@ -369,11 +375,6 @@ def line_integral(grid: DiscGrid, sampler: Callable, path: Sequence[tuple[float,
         vx, vy = sampler(xm, ym)
         total += float(((x1 - x0) * np.asarray(vx) + (y1 - y0) * np.asarray(vy)).sum()) / n
     return total
-
-
-def area_integral(f: ScalarField) -> float:
-    """Cell-sum quadrature sum(f) * h^2 over masked nodes."""
-    return float(f.data[f.grid.mask].sum()) * f.grid.h**2
 
 
 def write_csv(path, grid: DiscGrid, columns: dict[str, ScalarField]) -> None:

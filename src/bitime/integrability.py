@@ -16,15 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .grid import AngleField, DiscGrid, ScalarField, partial
-from .systems import CrossTriple, SplitSystem, cross_triple
+from .grid import AngleField, ScalarField, partial
+from .systems import SplitSystem, cross_triple
 
 __all__ = [
     "CicReport",
     "cic_single",
     "cic_multi",
     "plastic_cic",
-    "remark21_residual",
 ]
 
 
@@ -103,20 +102,3 @@ def plastic_cic(rho: ScalarField, phi: AngleField, k: ScalarField,
     line3 = partial(b1, 2) + ky * phix - partial(b2, 1) - kx * phiy
     return line1, line2, line3
 
-
-def remark21_residual(rho: ScalarField, k: ScalarField, phi: AngleField
-                      ) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Residuals of the reduced (rho, K) system for a prescribed angle sheet.
-
-    r1 = rho_x - (d/dx(K c) - d/dy(K s))
-    r2 = rho_y + (d/dx(K s) + d/dy(K c))
-    r3 = 2 d2/dxdy(K c) - d2/dy2(K s) + d2/dx2(K s)
-    """
-    kc = k * phi.c
-    ks = k * phi.s
-    r1 = partial(rho, 1) - (partial(kc, 1) - partial(ks, 2))
-    r2 = partial(rho, 2) + (partial(ks, 1) + partial(kc, 2))
-    r3 = (2.0 * partial(partial(kc, 1), 2)
-          - partial(partial(ks, 2), 2)
-          + partial(partial(ks, 1), 1))
-    return r1, r2, r3

@@ -16,7 +16,6 @@ system, and the circle boundary conditions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,18 +249,12 @@ def plastic_system() -> QuasiLinearSystem:
 def plastic_multiplier_system() -> MultiplierSystem:
     """Multiplier form attached to the gradient-solved equations.
 
-    Matrices are (I, I, K I); right-hand sides in the controls (u, v, mu, nu):
+    The equations are grad rho = f_1, grad K = f_2 and K grad phi = f_3
+    (matrices I, I, K I); right-hand sides in the controls (u, v, mu, nu):
       f_1 = (u, v)
       f_2 = (-mu c + nu s,  mu s + nu c)
       f_3 = (-(u+mu) s - (v+nu) c,  -(u+mu) c + (v+nu) s)
     """
-    def m_id(x, y, states, controls):
-        return ((1.0, 0.0), (0.0, 1.0))
-
-    def m_k(x, y, states, controls):
-        k = states[1]
-        return ((k, 0.0), (0.0, k))
-
     def f1(x, y, states, controls):
         u, v = controls[0], controls[1]
         return (u, v)
@@ -276,22 +269,16 @@ def plastic_multiplier_system() -> MultiplierSystem:
         c, s = states[2]
         return (-(u + mu) * s - (v + nu) * c, -(u + mu) * c + (v + nu) * s)
 
-    return MultiplierSystem(n=3, n_controls=4,
-                            state_kinds=("scalar", "scalar", "angle"),
-                            matrices=(m_id, m_id, m_k),
-                            rhs=(f1, f2, f3))
+    return MultiplierSystem(n=3, n_controls=4, rhs=(f1, f2, f3))
 
 
 def plastic_cost() -> CostBundle:
-    """Zero running cost; boundary cost is the angle itself (gradient (0, 0, 1))."""
-    def g(x, y, states):
-        c, s = states[2]
-        return np.arctan2(s, c)
+    """Zero running cost.
 
-    zeros = lambda x, y, states: np.zeros(np.shape(x))
-    ones = lambda x, y, states: np.ones(np.shape(x))
-    return CostBundle(running=None, boundary=g,
-                      boundary_state_grad=(zeros, zeros, ones))
+    The boundary cost g = phi enters only the circle conditions, through
+    dg/dphi = 1 in `boundary_condition_residual`.
+    """
+    return CostBundle(running=None)
 
 
 @dataclass(frozen=True)
@@ -377,7 +364,9 @@ def boundary_condition_residual(x, y, q1_shift: float = 0.0
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Circle conditions p.n, q.n - 1, r.n from the closed-form costates.
 
-    (x, y) are points of S^1 (see `boundary_samples`), so n = (x, y).
+    (x, y) are points of S^1 (see `boundary_samples`), so n = (x, y).  The
+    "- 1" is dg/dphi for the boundary cost g = phi; g does not depend on
+    rho or K, so (27.1) and (27.3) have no such term.
     """
     p1, p2, r1, r2, q1, q2 = costates_star(x, y, q1_shift)
     return (p1 * x + p2 * y,

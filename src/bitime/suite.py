@@ -115,16 +115,27 @@ class RunConfig:
 
     _KEYS = ("h", "margin", "eps0", "m", "family", "alpha", "beta", "gamma",
              "delta", "c0", "tolerance_c", "perturb_q1", "out")
+    _NUMBERS = ("h", "eps0", "alpha", "beta", "gamma", "delta", "c0", "perturb_q1")
+    _OPTIONAL_NUMBERS = ("margin", "tolerance_c")
+    _MAX_M = 100_000
 
     def __post_init__(self):
-        if isinstance(self.h, bool) or not isinstance(self.h, numbers.Real):
-            raise ValueError(f"h must be a number, got {self.h!r}")
+        for key in self._NUMBERS + self._OPTIONAL_NUMBERS:
+            value = getattr(self, key)
+            if value is None and key in self._OPTIONAL_NUMBERS:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
             raise ValueError(f"m must be an integer, got {self.m!r}")
+        for key in ("family", "out"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
         if not 0 < self.h <= 0.25:
             raise ValueError("grid too coarse: h must be in (0, 0.25]")
-        if self.m < 8:
-            raise ValueError("need at least 8 boundary samples")
+        if not 8 <= self.m <= self._MAX_M:
+            raise ValueError(f"need 8 to {self._MAX_M} boundary samples, got {self.m}")
         if self.family not in _COEFF_KEY:
             raise ValueError(f"unknown family {self.family!r}")
         if self.tolerance_c is not None and self.tolerance_c <= 0:

@@ -6,6 +6,8 @@ system assigns each of the first n-1 gradient equations its own canonical
 control field v_i = A_i grad x^i, leaving the last equation to absorb
 B - sum(v_i).  Per-state quantities (the split, the cross-triples) never
 sum over the state index; the alpha/beta sums are explicit loops.
+Coefficients are evaluated on the masked nodes only (`DiscGrid.on_mask`)
+and are zero elsewhere, so an entry may be singular off the mask.
 """
 
 from __future__ import annotations
@@ -61,16 +63,28 @@ class QuasiLinearSystem:
             raise ValueError("need one coefficient evaluator per state")
 
     def matrix(self, i: int, grid: DiscGrid, state_values, control_values) -> np.ndarray:
-        """A_i on the whole grid, shape (2, 2) + grid.shape.  i is 1-based."""
-        raw = self.a[i - 1](grid.X, grid.Y, state_values, control_values)
-        out = nest_array(raw, grid.shape, 2)
-        if not np.all(np.isfinite(out[:, :, grid.mask])):
-            raise ValueError(f"coefficient matrix A_{i} is not finite on the mask")
-        return out
+        """A_i, shape (2, 2) + grid.shape, zero off the mask.  i is 1-based."""
+        return _on_mask(self.a[i - 1], grid, state_values, control_values, 2,
+                        f"coefficient matrix A_{i}")
 
     def rhs(self, grid: DiscGrid, state_values, control_values) -> np.ndarray:
-        raw = self.b(grid.X, grid.Y, state_values, control_values)
-        return nest_array(raw, grid.shape, 1)
+        """B, shape (2,) + grid.shape, zero off the mask."""
+        return _on_mask(self.b, grid, state_values, control_values, 1, "right-hand side B")
+
+
+def _on_mask(fn, grid: DiscGrid, state_values, control_values, rank: int, what: str):
+    """Evaluate a coefficient on the masked nodes only (see `DiscGrid.on_mask`)."""
+    m = grid.mask
+    sv = [tuple(a[m] for a in v) if isinstance(v, tuple) else v[m] for v in state_values]
+    cv = [a[m] for a in control_values]
+    values = nest_array(grid.on_mask(lambda x, y: fn(x, y, sv, cv), what),
+                        (grid.n_nodes,), rank)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite on the mask")
+    out = np.zeros(values.shape[:rank] + grid.shape)
+    for idx in np.ndindex(*values.shape[:rank]):
+        out[idx][m] = values[idx]
+    return out
 
 
 def state_value(f):

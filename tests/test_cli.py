@@ -89,6 +89,20 @@ class TestVerify:
         path = write_json(tmp_path / "c.json", cfg)
         assert_usage_error(runner.invoke(main, ["verify", "--config", path]))
 
+    @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
+    @pytest.mark.parametrize("cfg", [{"alpha": "abc"}, {"eps0": "0.1"}, {"perturb_q1": "x"},
+                                     {"c0": None}, {"margin": "0"}, {"m": 100_000_000_000}])
+    def test_config_values_rejected(self, runner, tmp_path, command, cfg):
+        path = write_json(tmp_path / "c.json", cfg)
+        assert_usage_error(runner.invoke(main, [command, "--config", path,
+                                                "--out", str(tmp_path)]))
+
+    @pytest.mark.parametrize("command", ["verify", "fields"])
+    def test_grid_over_budget(self, runner, tmp_path, command):
+        # refused before the lattice is allocated (about 4e18 points)
+        assert_usage_error(runner.invoke(main, [command, "--h", "1e-9",
+                                                "--out", str(tmp_path)]))
+
     def test_family_flag(self, runner):
         result = runner.invoke(main, ["verify", "--h", "1/32",
                                       "--family", "constant", "--delta", "2.0"])
@@ -155,6 +169,38 @@ class TestResiduals:
             result = runner.invoke(main, ["residuals", spec])
         assert_usage_error(result)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("formula", ["10**400", "9**9**9"])
+    @pytest.mark.parametrize("where", ["state_fields", "A"])
+    def test_overflowing_expression(self, runner, tmp_path, formula, where):
+        # float64 literals: both overflow to inf at once and are rejected
+        system = {"states": ["w"], "controls": [],
+                  "A": [[["1", "0"], ["0", "1"]]], "B": ["0", "0"],
+                  "state_fields": {"w": "x"}, "control_fields": {}, "h": 1 / 32}
+        if where == "A":
+            system["A"] = [[[formula, "0"], ["0", "1"]]]
+        else:
+            system["state_fields"] = {"w": formula}
+        spec = write_json(tmp_path / "s.json", system)
+        assert_usage_error(runner.invoke(main, ["residuals", spec]))
+
+    def test_coefficient_singular_off_mask(self, runner, tmp_path):
+        # A = 1/w with w = x is singular only on x = 0, which half_x removes
+        spec = write_json(tmp_path / "s.json", {
+            "states": ["w"], "controls": [],
+            "A": [[["1/w", "0"], ["0", "1"]]], "B": ["0", "0"],
+            "state_fields": {"w": "x"}, "control_fields": {},
+            "zones": [{"kind": "half_x", "size": 0.1}], "h": 1 / 32,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["residuals", spec])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+
+    def test_grid_over_budget(self, runner, tmp_path):
+        spec = write_json(tmp_path / "s.json", dict(PLASTIC_SYSTEM, h=1e-9))
+        assert_usage_error(runner.invoke(main, ["residuals", spec]))
 
     def test_malformed_expression(self, runner, tmp_path):
         spec = write_json(tmp_path / "bad.json", {

@@ -52,6 +52,33 @@ class TestCompileExpression:
         with pytest.raises(ExpressionError, match="numeric"):
             compile_expression("'a'", ["x"])
 
+    def test_literals_are_float64(self):
+        assert type(compile_expression("2", [])()) is np.float64
+        assert compile_expression("7/2", [])() == 3.5
+
+    @pytest.mark.parametrize("src", ["10**400", "9**9**9"])
+    def test_power_overflows_to_inf(self, src):
+        with np.errstate(over="ignore"):
+            assert compile_expression(src, [])() == np.inf
+
+    def test_overflow_on_mask_rejected(self, grid32):
+        with pytest.raises(ValueError, match="not finite on the mask"):
+            grid32.field(compile_expression("x + 9**9**9", ["x", "y"]))
+
+    @pytest.mark.parametrize("src", ["1e999", "1" + "0" * 400])
+    def test_literal_out_of_range(self, src):
+        with pytest.raises(ExpressionError, match="out of float64 range"):
+            compile_expression(src, [])
+
+    @pytest.mark.parametrize("src", ["x+" * 300 + "x", "-" * 100_000 + "x"])
+    def test_nesting_bounded(self, src):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            compile_expression(src, ["x"])
+
+    def test_bare_function_name_rejected(self):
+        with pytest.raises(ExpressionError, match="unknown symbol 'sin'"):
+            compile_expression("sin + x", ["x"])
+
     def test_wrong_arity(self):
         with pytest.raises(ExpressionError, match="takes 1"):
             compile_expression("sin(x, x)", ["x"])

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitime.grid import (AngleField, ExclusionZone, ScalarField, area_integral,
-                         boundary_samples, build_disc_grid, line_integral,
-                         partial, write_csv)
+from bitime.grid import (_MAX_LATTICE_POINTS, AngleField, ExclusionZone,
+                         ScalarField, boundary_samples, build_disc_grid,
+                         line_integral, partial, write_csv)
 
 
 def node_set(grid):
@@ -31,6 +31,14 @@ class TestBuildDiscGrid:
         grid = build_disc_grid(1 / 64, zones=[ExclusionZone("abs_x", 0.1)])
         xs, _ = grid.node_coordinates()
         assert np.all(np.abs(xs) >= 0.1 - 1e-12)
+
+    def test_lattice_budget(self):
+        # refused from h alone, before any array is allocated
+        for h in (1e-9, 1 / 1200, 5e-324):
+            with pytest.raises(ValueError, match="lattice points"):
+                build_disc_grid(h)
+        # h = 1/1024 is admitted: its lattice is 2 * (1024 + 2) + 1 = 2053 wide
+        assert 2053**2 <= _MAX_LATTICE_POINTS
 
     def test_too_coarse(self):
         with pytest.raises(ValueError, match="grid too coarse"):
@@ -152,11 +160,6 @@ class TestFields:
         # cos/sin are not polynomial, so this is O(h^2), not stencil-exact
         assert abs(d.data[grid32.mask] - 0.3).max() <= 0.1 * grid32.h**2
 
-    def test_angle_rotated(self, grid32):
-        pair = AngleField(grid32.field(1.0), grid32.field(0.0))
-        rot = pair.rotated(math.pi / 2)
-        assert abs(rot.s.data[grid32.mask] - 1.0).max() <= 1e-12
-
     def test_interior_mask_subset(self, grid32):
         inner = grid32.interior_mask(2)
         assert np.all(~inner | grid32.mask)
@@ -220,20 +223,6 @@ class TestLineIntegral:
     def test_short_path_rejected(self, grid64):
         with pytest.raises(ValueError):
             line_integral(grid64, lambda x, y: (x, y), [(0.0, 0.0)])
-
-
-class TestAreaIntegral:
-    def test_disc_area(self):
-        grid = build_disc_grid(1 / 64, margin=0.0)
-        val = area_integral(grid.field(1.0))
-        assert abs(val - math.pi) / math.pi <= 0.05
-
-    def test_zero(self, grid64):
-        assert area_integral(grid64.zeros()) == 0.0
-
-    def test_odd_symmetry(self, grid64):
-        val = area_integral(grid64.field(lambda x, y: x))
-        assert abs(val) <= 0.05
 
 
 class TestCsvExport:

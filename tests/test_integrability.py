@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitime.grid import AngleField, ExclusionZone, build_disc_grid
-from bitime.integrability import (cic_multi, cic_single, plastic_cic,
-                                  remark21_residual)
+from bitime.integrability import cic_multi, cic_single, plastic_cic
 from bitime.plastic import (Family, k_family, phi_star_field, plastic_system,
                             rho_family)
 from bitime.systems import QuasiLinearSystem, cross_triple, split_controls
@@ -131,29 +130,3 @@ class TestTwoPathEquivalence:
         assert (c1 + l1).max_norm() <= 1e-10
         assert (c2 - l2).max_norm() <= 1e-10
         assert (c3 + k * l3).max_norm() <= 1e-10
-
-
-class TestRemark21:
-    def test_quadratic_family_third_residual(self):
-        # K cos phi = y^2 - x^2 and K sin phi = 2xy are quadratics: exact
-        fam = Family("quadratic", 1.0)
-        grid = build_disc_grid(1 / 32, zones=fam.zones())
-        r1, r2, r3 = remark21_residual(rho_family(grid, fam), k_family(grid, fam),
-                                       phi_star_field(grid))
-        assert r3.max_norm() <= 1e-12
-        assert r1.max_norm() <= 1e-12
-        assert r2.max_norm() <= 1e-12
-
-    def test_constant_family_first_residual(self):
-        fam = Family("constant", 1.0)
-        grid = build_disc_grid(1 / 64, zones=fam.zones())
-        r1, _, _ = remark21_residual(rho_family(grid, fam), k_family(grid, fam),
-                                     phi_star_field(grid))
-        assert r1.max_norm() <= 20000.0 * grid.h**2
-
-    def test_all_zero(self, grid32):
-        r1, r2, r3 = remark21_residual(grid32.zeros(), grid32.zeros(),
-                                       angle_zero(grid32))
-        assert r1.max_norm() == 0.0
-        assert r2.max_norm() == 0.0
-        assert r3.max_norm() == 0.0

@@ -36,6 +36,24 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="h must be a number"):
             RunConfig.from_dict({"h": h})
 
+    @pytest.mark.parametrize("cfg", [{"alpha": "abc"}, {"eps0": "0.1"}, {"perturb_q1": "x"},
+                                     {"c0": None}, {"margin": "0"}, {"tolerance_c": "1"},
+                                     {"beta": float("nan")}, {"delta": float("inf")}])
+    def test_numbers_type_checked(self, cfg):
+        key = next(iter(cfg))
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            RunConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("cfg", [{"family": ["quadratic"]}, {"out": 5}])
+    def test_strings_type_checked(self, cfg):
+        with pytest.raises(ValueError, match="must be a string"):
+            RunConfig.from_dict(cfg)
+
+    def test_m_bounded(self):
+        with pytest.raises(ValueError, match="boundary samples"):
+            RunConfig(m=100_000_000_000)
+        assert RunConfig(m=100_000).m == 100_000
+
     def test_numpy_scalars_accepted(self):
         cfg = RunConfig(h=np.float64(1 / 32), m=np.int64(16))
         assert cfg.m == 16

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitime.grid import ExclusionZone, build_disc_grid
 from bitime.systems import (QuasiLinearSystem, cross_triple, forward_residual,
                             split_controls)
 
@@ -27,6 +28,27 @@ class TestQuasiLinearSystem:
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(all="ignore"):
                 bad.matrix(1, grid32, [state.data], [])
+
+
+    def test_coefficients_evaluated_on_mask_only(self):
+        # 1/w and 1/x are singular on x = 0, which half_x removes from the mask
+        grid = build_disc_grid(1 / 32, zones=[ExclusionZone("half_x", 0.1)])
+        sys = QuasiLinearSystem(
+            n=1, n_controls=0,
+            a=(lambda x, y, s, c: ((1.0 / s[0], 0.0), (0.0, 1.0)),),
+            b=lambda x, y, s, c: (1.0 / x, 0.0))
+        w = grid.field(lambda x, y: x)
+        a = sys.matrix(1, grid, [w.data], [])
+        b = sys.rhs(grid, [w.data], [])
+        assert not a[:, :, ~grid.mask].any() and not b[:, ~grid.mask].any()
+        assert abs((a[0, 0] * w.data)[grid.mask] - 1.0).max() <= 1e-15
+        assert abs((b[0] * grid.X)[grid.mask] - 1.0).max() <= 1e-15
+
+    def test_nonfinite_rhs_rejected(self, grid32):
+        bad = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,),
+                                b=lambda x, y, s, c: (1.0 / (x - x), 0.0))
+        with pytest.raises(ValueError, match="right-hand side B is not finite"):
+            bad.rhs(grid32, [grid32.zeros().data], [])
 
 
 class TestSplitControls:
