@@ -15,7 +15,9 @@ Expressions compile to a tree of closures (no `eval`).  Errors carry the
 from __future__ import annotations
 
 import ast
+import keyword
 import operator
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,13 +38,17 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _UNARYOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 # Deepest expression tree accepted; a sum of n terms is n levels deep.
 _MAX_DEPTH = 200
+# Names every expression already has; a state or control may not take them.
+_RESERVED = ("x", "y", *_FUNCTIONS)
 
 
 class ExpressionError(ValueError):
-    """Bad expression; `line` and `column` locate the problem (1-based)."""
+    """Bad expression or system config; `line` and `column` locate the problem
+    in an expression (1-based) and are None for errors that have no place."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        where = f" (line {line}, column {column})" if line is not None else ""
+        super().__init__(message + where)
         self.line = line
         self.column = column
 
@@ -101,12 +107,16 @@ def compile_expression(src: str, names: Sequence[str]) -> Callable[..., np.ndarr
     if not isinstance(src, str):
         raise ExpressionError("expression must be a string")
     try:
-        tree = ast.parse(src.replace("^", "**"), mode="eval")
+        with warnings.catch_warnings():  # e.g. SyntaxWarning for "1if": the error says it
+            warnings.simplefilter("ignore")
+            tree = ast.parse(src.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(exc.msg or "syntax error",
                               exc.lineno or 1, exc.offset or 1) from None
     except (MemoryError, RecursionError):  # the parser's own nesting limits
         raise ExpressionError("expression nested too deeply") from None
+    except ValueError as exc:  # e.g. a null byte in the source
+        raise ExpressionError(str(exc)) from None
     body = _build(tree.body, {name: k for k, name in enumerate(names)})
     return lambda *values: body(values)
 
@@ -120,14 +130,36 @@ def _matrix_entries(raw, n: int):
     return raw
 
 
+def _declared_names(cfg: dict, key: str, taken: set) -> list[str]:
+    """The `key` list of the config: identifiers, none reserved or already in `taken`."""
+    names = cfg.get(key, [])
+    if not isinstance(names, list):
+        raise ExpressionError(f"{key} must be a list of names, got {names!r}")
+    for name in names:
+        if not isinstance(name, str) or not name.isidentifier() or keyword.iskeyword(name):
+            raise ExpressionError(f"{key} entry {name!r} is not an identifier")
+        if name in _RESERVED:
+            raise ExpressionError(f"{key} entry {name!r} is reserved: x, y, sin, cos "
+                                  "and atan2 cannot be declared")
+        if name in taken:
+            raise ExpressionError(f"{key} entry {name!r} is declared twice: state and "
+                                  "control names must be distinct")
+        taken.add(name)
+    return names
+
+
 def system_from_config(cfg: dict) -> QuasiLinearSystem:
     """Build a system from {states, controls, A, B} with expression entries.
 
     A is a list of n 2x2 string matrices, B a pair of strings; all in the
-    variables x, y plus the declared state and control names.
+    variables x, y plus the declared state and control names, which must be
+    distinct identifiers other than x, y, sin, cos and atan2.
     """
-    states = list(cfg.get("states", []))
-    controls = list(cfg.get("controls", []))
+    if not isinstance(cfg, dict):
+        raise ExpressionError("system config must be a JSON object")
+    taken: set[str] = set()
+    states = _declared_names(cfg, "states", taken)
+    controls = _declared_names(cfg, "controls", taken)
     if not states:
         raise ExpressionError("config declares no states")
     names = ["x", "y"] + states + controls

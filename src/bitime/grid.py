@@ -8,6 +8,12 @@ neighbours exist and one-sided second-order stencils at the mask edge, so
 everything stays O(h^2).  Boundary data are never extrapolated from the
 grid; the unit circle is sampled parametrically (`boundary_samples`).
 
+Stencils are applied without copying the lattice: the centered difference
+is one subtraction of two slices of the padded lattice (the two padding
+rings keep every slice in bounds), the one-sided stencils overwrite the
+edge nodes through per-axis flat index lists built once with the grid, and
+the off-mask entries are then zeroed in place.
+
 Closed forms f(x, y) reach the grid only through `DiscGrid.sample`, which
 evaluates them on masked nodes alone and stores zeros elsewhere, so a
 formula may be singular anywhere off the mask.
@@ -74,6 +80,9 @@ class ExclusionZone:
 # 2053^2 = 4.2e6 points.
 _MAX_LATTICE_POINTS = 5_000_000
 
+# Rows per formatting block in write_csv.
+_CSV_BLOCK_ROWS = 2048
+
 # Stencil codes per node per axis.
 _CENTERED = 0
 _FORWARD = 1
@@ -106,8 +115,12 @@ class DiscGrid:
         self.X, self.Y = np.meshgrid(coords, coords, indexing="ij")
         self.shape = mask.shape
         self.n_nodes = int(mask.sum())
-        # stencil code arrays, one per axis (0 -> x, 1 -> y)
+        self._off_mask = ~mask
+        # stencil code arrays, one per axis (0 -> x, 1 -> y), and the flat
+        # indices of the forward and backward (one-sided) nodes of each axis
         self._stencils = [self._stencil_codes(ax) for ax in (0, 1)]
+        self._edges = [(np.flatnonzero(code == _FORWARD), np.flatnonzero(code == _BACKWARD))
+                       for code in self._stencils]
         # node ordering for exports: row-major by j (y) then i (x)
         ii, jj = np.nonzero(mask)
         order = np.lexsort((ii, jj))
@@ -174,12 +187,13 @@ class DiscGrid:
         Off-mask entries are zero.
         """
         out = self.on_mask(f)
-        fields = []
-        for values in (out if isinstance(out, tuple) else (out,)):
-            data = np.zeros(self.shape)
-            data[self.mask] = values
-            fields.append(ScalarField(self, data))
-        return tuple(fields)
+        return tuple(self.scatter(v) for v in (out if isinstance(out, tuple) else (out,)))
+
+    def scatter(self, values) -> "ScalarField":
+        """The field holding `values` on the masked nodes (in mask order), zero elsewhere."""
+        data = np.zeros(self.shape)
+        data[self.mask] = values
+        return ScalarField(self, data)
 
     def field(self, values) -> "ScalarField":
         """Build a field from a constant, a full 2-d array, or a callable f(x, y)."""
@@ -187,7 +201,7 @@ class DiscGrid:
             (f,) = self.sample(values)
             return f
         data = np.broadcast_to(np.asarray(values, dtype=float), self.shape).copy()
-        data[~self.mask] = 0.0
+        np.copyto(data, 0.0, where=self._off_mask)
         return ScalarField(self, data)
 
     def zeros(self) -> "ScalarField":
@@ -245,7 +259,7 @@ class ScalarField:
     def __init__(self, grid: DiscGrid, data: np.ndarray):
         if data.shape != grid.shape:
             raise ValueError("field shape does not match grid")
-        if not np.all(np.isfinite(data[grid.mask])):
+        if not np.isfinite(data).all() and not np.isfinite(data[grid.mask]).all():
             raise ValueError("field contains non-finite values on the mask")
         self.grid = grid
         self.data = data
@@ -261,7 +275,8 @@ class ScalarField:
         return partial(self, axis)
 
     def _wrap(self, data) -> "ScalarField":
-        data = np.where(self.grid.mask, data, 0.0)
+        """A fresh operator result as a field, zeroed off the mask in place."""
+        np.copyto(data, 0.0, where=self.grid._off_mask)
         return ScalarField(self.grid, data)
 
     def __add__(self, other):
@@ -316,23 +331,31 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     """Second-order d/dt^axis, axis 1 -> x, axis 2 -> y.
 
     Centered on interior nodes, one-sided second-order at the mask edge;
-    exact for polynomials of degree <= 2 along the axis.
+    exact for polynomials of degree <= 2 along the axis.  Only masked
+    entries of f reach the result: the centered pass also differences
+    off-mask entries (which may be non-finite), but those results are
+    overwritten or zeroed, so their floating-point errors are ignored.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 (x) or 2 (y)")
     g = f.grid
     ax = axis - 1
     a = f.data
-    code = g._stencils[ax]
-    up1, dn1, up2, dn2 = _neighbours(a, ax)
     two_h = 2.0 * g.h
-    out = np.zeros_like(a)
-    c = code == _CENTERED
-    out[c] = (up1[c] - dn1[c]) / two_h
-    fw = code == _FORWARD
-    out[fw] = (-3.0 * a[fw] + 4.0 * up1[fw] - up2[fw]) / two_h
-    bw = code == _BACKWARD
-    out[bw] = (3.0 * a[bw] - 4.0 * dn1[bw] + dn2[bw]) / two_h
+    out = np.empty(g.shape)
+    if ax == 0:
+        hi, lo, inner = a[2:], a[:-2], out[1:-1]
+    else:
+        hi, lo, inner = a[:, 2:], a[:, :-2], out[:, 1:-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(hi, lo, out=inner)
+        inner /= two_h
+    flat, res = a.reshape(-1), out.reshape(-1)
+    step = g.shape[1] if ax == 0 else 1
+    fw, bw = g._edges[ax]
+    res[fw] = (-3.0 * flat[fw] + 4.0 * flat[fw + step] - flat[fw + 2 * step]) / two_h
+    res[bw] = (3.0 * flat[bw] - 4.0 * flat[bw - step] + flat[bw - 2 * step]) / two_h
+    np.copyto(out, 0.0, where=g._off_mask)
     return ScalarField(g, out)
 
 
@@ -381,12 +404,15 @@ def write_csv(path, grid: DiscGrid, columns: dict[str, ScalarField]) -> None:
     """Write node fields as CSV with 17 significant digits.
 
     Header is x,y,<names>; rows are ordered row-major by j then i so two
-    runs with the same config are byte-identical.
+    runs with the same config are byte-identical.  Rows are formatted a
+    block at a time, so only one block is ever held as Python floats.
     """
     xs, ys = grid.node_coordinates()
     cols = [xs, ys] + [grid.node_values(f.data) for f in columns.values()]
     header = "x,y," + ",".join(columns)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, len(xs), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in cols])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -40,7 +40,7 @@ from .plastic import (Family, boundary_condition_residual, build_state,
                       equilibrium_residual, plastic_cost,
                       plastic_multiplier_system, plastic_system,
                       stress_from_polar)
-from .systems import cross_triple, forward_residual, split_controls
+from .systems import det2, forward_residual, state_value
 
 __all__ = [
     "RunConfig",
@@ -95,6 +95,16 @@ DEFAULT_TOLERANCE_C = {
 }
 
 
+def _finite_real(value) -> bool:
+    """A finite real number that is not a bool (an int beyond float range is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Suite configuration; every field has a default so `verify` runs bare."""
@@ -124,8 +134,7 @@ class RunConfig:
             value = getattr(self, key)
             if value is None and key in self._OPTIONAL_NUMBERS:
                 continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not _finite_real(value):
                 raise ValueError(f"{key} must be a number, got {value!r}")
         if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
             raise ValueError(f"m must be an integer, got {self.m!r}")
@@ -229,13 +238,15 @@ def _residual_fields(config: RunConfig, grid: DiscGrid):
     f1, f2 = forward_residual(sys, grid, states)
     out["(8.1)"], out["(8.2)"] = f1, f2
 
-    split = split_controls(sys, grid, states)
-    det_err = grid.zeros()
+    # R_i of the cross-triple is det2(A_i); check it against LAPACK's LU
+    # determinant, on the masked nodes only
+    sv = [state_value(f) for f in states]
+    det_err = 0.0
     for i in (1, 2, 3):
-        a = sys.matrix(i, grid, split.state_values(), [])
+        a = sys.matrix(i, grid, sv, [])[:, :, grid.mask]
         det = np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))
-        det_err = det_err + grid.field(np.abs(cross_triple(split, i).r.data - det))
-    out["(6.R)"] = det_err
+        det_err = det_err + np.abs(det2(a) - det)
+    out["(6.R)"] = grid.scatter(det_err)
 
     u, v, mu, nu = canonical_controls(grid, family)
     c1, c2, c3 = plastic_cic(state.rho, state.phi, state.k, u, v, mu, nu)

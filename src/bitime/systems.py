@@ -49,6 +49,11 @@ def nest_array(raw, shape, rank: int) -> np.ndarray:
     return out
 
 
+def det2(a: np.ndarray) -> np.ndarray:
+    """a00 a11 - a01 a10 of a 2x2 nest whose entries are arrays (A_i, shape (2, 2) + ...)."""
+    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+
+
 @dataclass(frozen=True)
 class QuasiLinearSystem:
     """n coefficient matrices plus right-hand side; evaluators are stateless."""
@@ -159,8 +164,7 @@ def cross_triple(split: SplitSystem, i: int) -> CrossTriple:
             w2 -= vj[1].data
     p = a[0, 1] * w2 - a[1, 1] * w1
     q = a[1, 0] * w1 - a[0, 0] * w2
-    r = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return CrossTriple(grid.field(p), grid.field(q), grid.field(r))
+    return CrossTriple(grid.field(p), grid.field(q), grid.field(det2(a)))
 
 
 def forward_residual(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) -> tuple[ScalarField, ScalarField]:

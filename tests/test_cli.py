@@ -198,9 +198,44 @@ class TestResiduals:
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("states, controls", [
+        (["x", "K"], []),   # "x" in A would read the state, not the coordinate
+        (["u", "u"], []),
+        (["w"], ["w"]),
+        ("ab", []),         # a string, not two states "a" and "b"
+        (["sin"], []),
+    ])
+    def test_invalid_names(self, runner, tmp_path, states, controls):
+        spec = write_json(tmp_path / "s.json", {
+            "states": states, "controls": controls,
+            "A": [[["x", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]][:len(states)],
+            "B": ["0", "0"], "h": 1 / 32,
+            "state_fields": {name: "x" for name in states},
+            "control_fields": {name: "y" for name in controls},
+        })
+        assert_usage_error(runner.invoke(main, ["residuals", spec]))
+
+    def test_system_not_an_object(self, runner, tmp_path):
+        spec = write_json(tmp_path / "s.json", [PLASTIC_SYSTEM])
+        assert_usage_error(runner.invoke(main, ["residuals", spec]))
+
     def test_grid_over_budget(self, runner, tmp_path):
         spec = write_json(tmp_path / "s.json", dict(PLASTIC_SYSTEM, h=1e-9))
         assert_usage_error(runner.invoke(main, ["residuals", spec]))
+
+    @pytest.mark.parametrize("formula", ["1if x else 2", "x is 1", "\x00", "\ud800"])
+    def test_rejected_expression_one_line(self, runner, tmp_path, formula):
+        # no parser SyntaxWarning or encoding traceback around the error line
+        spec = write_json(tmp_path / "s.json", {
+            "states": ["w"], "controls": [],
+            "A": [[[formula, "0"], ["0", "1"]]], "B": ["0", "0"],
+            "state_fields": {"w": "x"}, "control_fields": {}, "h": 1 / 32,
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["residuals", spec])
+        assert_usage_error(result)
+        assert not caught
 
     def test_malformed_expression(self, runner, tmp_path):
         spec = write_json(tmp_path / "bad.json", {

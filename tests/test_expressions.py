@@ -116,6 +116,28 @@ class TestSystemFromConfig:
         with pytest.raises(ExpressionError, match="need 1"):
             system_from_config(bad)
 
+    @pytest.mark.parametrize("states, controls, match", [
+        (["x"], [], "reserved"),        # would shadow the coordinate x
+        (["atan2"], [], "reserved"),
+        (["w"], ["cos"], "reserved"),
+        (["w", "w"], [], "declared twice"),
+        (["w"], ["w"], "declared twice"),
+        ("w", [], "must be a list"),    # a string is not a list of names
+        (["w"], "u", "must be a list"),
+        (["a b"], [], "not an identifier"),
+        (["lambda"], [], "not an identifier"),
+        ([1], [], "not an identifier"),
+    ])
+    def test_declared_names_checked(self, states, controls, match):
+        cfg = dict(SINGLE, states=states, controls=controls,
+                   A=[[["1", "0"], ["0", "1"]]] * len(states))
+        with pytest.raises(ExpressionError, match=match):
+            system_from_config(cfg)
+
+    def test_config_must_be_object(self):
+        with pytest.raises(ExpressionError, match="JSON object"):
+            system_from_config([SINGLE])
+
     def test_state_symbols_usable(self, grid32):
         cfg = dict(SINGLE, A=[[["1 + w*w", "0"], ["0", "1"]]])
         sys = system_from_config(cfg)

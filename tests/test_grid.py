@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitime.grid import (_MAX_LATTICE_POINTS, AngleField, ExclusionZone,
-                         ScalarField, boundary_samples, build_disc_grid,
-                         line_integral, partial, write_csv)
+from bitime.grid import (_BACKWARD, _CENTERED, _FORWARD, _MAX_LATTICE_POINTS,
+                         AngleField, ExclusionZone, ScalarField, boundary_samples,
+                         build_disc_grid, line_integral, partial, write_csv)
+from bitime.plastic import FAMILY_KINDS, Family
 
 
 def node_set(grid):
@@ -111,6 +113,87 @@ class TestPartial:
         d12 = partial(partial(f, 1), 2)
         d21 = partial(partial(f, 2), 1)
         assert (d12 - d21).max_norm() <= 50.0 * grid32.h**2
+
+
+def reference_partial(f, axis):
+    """The np.roll implementation of `partial`, kept as the reference for its kernel."""
+    g = f.grid
+    ax = axis - 1
+    a = f.data
+    code = g._stencils[ax]
+    up1, dn1, up2, dn2 = (np.roll(a, -k, axis=ax) for k in (1, -1, 2, -2))
+    two_h = 2.0 * g.h
+    out = np.zeros_like(a)
+    c = code == _CENTERED
+    out[c] = (up1[c] - dn1[c]) / two_h
+    fw = code == _FORWARD
+    out[fw] = (-3.0 * a[fw] + 4.0 * up1[fw] - up2[fw]) / two_h
+    bw = code == _BACKWARD
+    out[bw] = (3.0 * a[bw] - 4.0 * dn1[bw] + dn2[bw]) / two_h
+    return ScalarField(g, out)
+
+
+@pytest.fixture(scope="module", params=[(k, h) for k in FAMILY_KINDS for h in (1 / 32, 1 / 64)],
+                ids=lambda p: f"{p[0]}-h{round(1 / p[1])}")
+def family_grid(request):
+    kind, h = request.param
+    return build_disc_grid(h, zones=Family(kind, 1.0).zones())
+
+
+def random_on_mask(grid, seed):
+    data = np.random.default_rng(seed).standard_normal(grid.shape)
+    data[~grid.mask] = 0.0
+    return data
+
+
+class TestStencilReference:
+    """`partial` and field re-masking agree bit for bit with the np.roll kernel."""
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_random_data(self, family_grid, axis):
+        f = ScalarField(family_grid, random_on_mask(family_grid, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = partial(f, axis)
+        assert np.array_equal(got.data, reference_partial(f, axis).data)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_nonfinite_off_mask(self, family_grid, axis):
+        # built directly: regions of inf, -inf and NaN border the masked edge
+        # nodes, so the centered pass meets inf - inf off the mask
+        g = family_grid
+        data = random_on_mask(g, 11)
+        off = ~g.mask
+        data[off & (g.X < 0)] = np.inf
+        data[off & (g.X >= 0) & (g.Y < 0)] = -np.inf
+        data[off & (g.X >= 0) & (g.Y >= 0)] = np.nan
+        f = ScalarField(family_grid, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = partial(f, axis)
+            want = reference_partial(f, axis)
+        assert np.array_equal(got.data, want.data)
+        assert not got.data[~family_grid.mask].any()
+
+    def test_arithmetic_zero_off_mask(self, grid32):
+        f = ScalarField(grid32, random_on_mask(grid32, 3))
+        g = ScalarField(grid32, random_on_mask(grid32, 5))
+        off = ~grid32.mask
+        for r in (f + g, f - g, f * g, -f, 2.0 + f, 2.0 - f, 3.0 * f, f + grid32.X):
+            assert not r.data[off].any()
+        assert np.array_equal((f * g).data[grid32.mask], (f.data * g.data)[grid32.mask])
+        assert np.array_equal((2.0 - f).data[grid32.mask], 2.0 - f.data[grid32.mask])
+        assert not grid32.field(grid32.X + 1.0).data[off].any()
+
+    def test_nonfinite_accepted_off_mask_only(self, grid32):
+        data = random_on_mask(grid32, 13)
+        data[~grid32.mask] = np.nan
+        ScalarField(grid32, data)
+        node = tuple(np.argwhere(grid32.mask)[0])
+        for bad in (np.nan, np.inf, -np.inf):
+            data[node] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                ScalarField(grid32, data)
 
 
 class TestFields:
@@ -236,3 +319,16 @@ class TestCsvExport:
         assert text.splitlines()[0] == "x,y,value"
         assert text == p2.read_text()
         assert len(text.splitlines()) == grid32.n_nodes + 1
+
+    def test_matches_per_value_reference(self, tmp_path):
+        # more than one formatting block, and values whose %.17g spelling is awkward
+        grid = build_disc_grid(1 / 48)
+        assert grid.n_nodes > 2048
+        special = grid.field(lambda x, y: np.where(x > 0, -0.0, 1.0 / 3.0) * 10.0 ** (7 * y))
+        cols = {"a": grid.field(lambda x, y: np.exp(x) * 1e-300), "b": special}
+        write_csv(tmp_path / "new.csv", grid, cols)
+        xs, ys = grid.node_coordinates()
+        values = [xs, ys] + [grid.node_values(f.data) for f in cols.values()]
+        want = "x,y,a,b\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                     for row in zip(*values))
+        assert (tmp_path / "new.csv").read_text() == want

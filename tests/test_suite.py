@@ -93,6 +93,25 @@ class TestRunVerify:
         text = report.to_text()
         assert "PASS" in text
 
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x"])
+    def test_6r_matches_full_lattice_cross_triples(self, family):
+        # (6.R) is scored on masked nodes only; its norms equal those of the
+        # full-lattice assembly through cross_triple(...).r
+        from bitime.plastic import build_state, plastic_system
+        from bitime.systems import cross_triple, split_controls
+
+        config = RunConfig(h=1 / 32, family=family)
+        grid = config.make_grid()
+        sys = plastic_system()
+        split = split_controls(sys, grid, build_state(grid, config.make_family()).as_list())
+        want = grid.zeros()
+        for i in (1, 2, 3):
+            a = sys.matrix(i, grid, split.state_values(), [])
+            det = np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))
+            want = want + grid.field(np.abs(cross_triple(split, i).r.data - det))
+        got = {c.condition: c for c in run_verify(config).conditions}["(6.R)"]
+        assert (got.max_norm, got.l2_norm) == (want.max_norm(), want.l2_norm())
+
     def test_corrupted_costate_fails_27(self):
         report = run_verify(RunConfig(h=1 / 32, perturb_q1=0.1))
         assert not report.passed
