@@ -9,6 +9,7 @@ it is handled at the top of this module).
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 _threads = os.environ.get("BITIME_THREADS")
 if _threads:
@@ -27,14 +28,27 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise click.exceptions.Exit(_fail(f"cannot read {path}: {exc}"))
-    except json.JSONDecodeError as exc:
-        raise click.exceptions.Exit(
-            _fail(f"invalid JSON in {path}: {exc.msg} (line {exc.lineno}, column {exc.colno})"))
+    except ValueError as exc:  # a syntax error, or an integer beyond the digit limit
+        raise click.exceptions.Exit(_fail(f"invalid JSON in {path}: {exc}"))
 
 
 def _fail(message):
     click.echo(f"error: {message}", err=True)
     return _CONFIG_ERROR
+
+
+@contextmanager
+def _input_errors(*kinds):
+    """Exit 2 with one line on an exception of `kinds` or on arithmetic out of
+    float64 range, which numpy raises here instead of warning."""
+    import numpy as np
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise click.exceptions.Exit(_fail(f"arithmetic out of float64 range ({exc})"))
+    except kinds as exc:
+        raise click.exceptions.Exit(_fail(str(exc)))
 
 
 def _parse_h(text):
@@ -51,13 +65,11 @@ def _parse_h(text):
 def _build_config(config_path, **overrides):
     from .suite import RunConfig
     data = _load_json(config_path) if config_path else {}
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    try:
-        return RunConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
+    with _input_errors(TypeError, ValueError):
+        if not isinstance(data, dict):
+            raise ValueError(f"config {config_path} must be a JSON object")
+        return RunConfig.from_dict({**data, **{k: v for k, v in overrides.items()
+                                               if v is not None}})
 
 
 def _common_options(fn):
@@ -94,10 +106,8 @@ def verify(config_path, h, family, alpha, beta, gamma, delta, out, as_json):
     config = _build_config(config_path, h=_parse_h(h) if h else None,
                            family=family, alpha=alpha, beta=beta,
                            gamma=gamma, delta=delta, out=out)
-    try:
+    with _input_errors(ValueError):
         report = run_verify(config)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
     click.echo(report.to_json() if as_json else report.to_text())
     sys.exit(0 if report.passed else _RESIDUAL_ERROR)
 
@@ -109,30 +119,28 @@ def residuals(system_file, config_path, h, family, alpha, beta, gamma, delta,
               out, as_json):
     """Forward and integrability residual norms for a config-defined system."""
     from .expressions import fields_from_config, system_from_config
-    from .grid import ExclusionZone, build_disc_grid
+    from .grid import ExclusionZone, banded_norms, build_disc_grid
     from .integrability import cic_multi
     from .systems import forward_residual, split_controls
 
     spec = _load_json(system_file)
-    if config_path:
-        spec = {**_load_json(config_path), **spec}
-    try:
+    with _input_errors(KeyError, TypeError, ValueError):
+        if config_path:
+            spec = {**_load_json(config_path), **spec}
         sys_def = system_from_config(spec)
         h_val = _parse_h(h) if h else float(spec.get("h", 1.0 / 64.0))
         zones = [ExclusionZone(z["kind"], z["size"]) for z in spec.get("zones", [])]
         grid = build_disc_grid(h_val, zones=zones)
-        states, controls = fields_from_config(spec, grid)
-        fwd = forward_residual(sys_def, grid, states, controls)
-        split = split_controls(sys_def, grid, states, controls)
-        cic = cic_multi(split)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
 
-    rows = [{"condition": f"forward.{b + 1}", "max_norm": fwd[b].max_norm(),
-             "l2_norm": fwd[b].l2_norm(), "h": grid.h} for b in range(2)]
-    rows += [{"condition": f"cic.{i + 1}", "max_norm": r.max_norm(),
-              "l2_norm": r.l2_norm(), "h": grid.h}
-             for i, r in enumerate(cic.residuals)]
+        def residual_fields(band):
+            states, controls = fields_from_config(spec, band)
+            fwd = forward_residual(sys_def, band, states, controls)
+            cic = cic_multi(split_controls(sys_def, band, states, controls))
+            return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
+                    **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+
+        rows = [{"condition": name, "max_norm": max_norm, "l2_norm": l2_norm, "h": grid.h}
+                for name, (max_norm, l2_norm) in banded_norms(grid, residual_fields).items()]
     if as_json:
         click.echo(json.dumps({"h": grid.h, "rows": rows}, indent=2))
     else:
@@ -152,11 +160,9 @@ def convergence(h_values, config_path, h, family, alpha, beta, gamma, delta,
     from .suite import run_convergence
     config = _build_config(config_path, family=family, alpha=alpha, beta=beta,
                            gamma=gamma, delta=delta, out=out)
-    try:
+    with _input_errors(ValueError):
         hs = [_parse_h(tok) for tok in h_values.split(",") if tok.strip()]
         table = run_convergence(config, hs)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
     if as_json:
         click.echo(json.dumps(table, indent=2))
     else:
@@ -176,12 +182,11 @@ def fields(config_path, h, family, alpha, beta, gamma, delta, out, as_json):
     config = _build_config(config_path, h=_parse_h(h) if h else None,
                            family=family, alpha=alpha, beta=beta,
                            gamma=gamma, delta=delta, out=out)
-    try:
-        paths = write_fields(config)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
-    except OSError as exc:
-        raise click.exceptions.Exit(_fail(f"cannot write output: {exc}"))
+    with _input_errors(ValueError):
+        try:
+            paths = write_fields(config)
+        except OSError as exc:
+            raise click.exceptions.Exit(_fail(f"cannot write output: {exc}"))
     if as_json:
         click.echo(json.dumps({"files": paths}))
     else:

@@ -9,7 +9,9 @@ Every numeric literal is a float64, so "9**9**9" overflows to inf at once
 instead of running Python integer arithmetic.
 
 Expressions compile to a tree of closures (no `eval`).  Errors carry the
-1-based line and column of the offending token.
+1-based line and column of the offending token; errors in a system config
+also name the entry's JSON location, such as ``A[0][1][0]`` or
+``state_fields.rho``.
 """
 
 from __future__ import annotations
@@ -121,6 +123,15 @@ def compile_expression(src: str, names: Sequence[str]) -> Callable[..., np.ndarr
     return lambda *values: body(values)
 
 
+def _compile_entry(src, names: Sequence[str], where: str) -> Callable[..., np.ndarray]:
+    """`compile_expression` with the entry's JSON location `where` before any error."""
+    try:
+        return compile_expression(src, names)
+    except ExpressionError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _matrix_entries(raw, n: int):
     if len(raw) != n:
         raise ExpressionError(f"need {n} coefficient matrices, got {len(raw)}")
@@ -169,9 +180,9 @@ def system_from_config(cfg: dict) -> QuasiLinearSystem:
     if len(b_raw) != 2:
         raise ExpressionError("B must have two components")
 
-    a_fns = [[[compile_expression(a_raw[i][b][al], names) for al in range(2)]
-              for b in range(2)] for i in range(n)]
-    b_fns = [compile_expression(expr, names) for expr in b_raw]
+    a_fns = [[[_compile_entry(a_raw[i][b][al], names, f"A[{i}][{b}][{al}]")
+               for al in range(2)] for b in range(2)] for i in range(n)]
+    b_fns = [_compile_entry(expr, names, f"B[{b}]") for b, expr in enumerate(b_raw)]
 
     def make_a(i):
         def f(x, y, state_values, control_values, _i=i):
@@ -199,7 +210,9 @@ def fields_from_config(cfg: dict, grid: DiscGrid):
         for name in declared:
             if name not in exprs:
                 raise ExpressionError(f"missing {section} entry for {name!r}")
-            out.append(grid.field(compile_expression(exprs[name], ["x", "y"])))
+            where = f"{section}.{name}"
+            f = _compile_entry(exprs[name], ["x", "y"], where)
+            out.append(grid.field(grid.on_mask(f, where)))
         return tuple(out)
 
     return (build("state_fields", cfg.get("states", [])),

@@ -8,21 +8,30 @@ neighbours exist and one-sided second-order stencils at the mask edge, so
 everything stays O(h^2).  Boundary data are never extrapolated from the
 grid; the unit circle is sampled parametrically (`boundary_samples`).
 
-Stencils are applied without copying the lattice: the centered difference
-is one subtraction of two slices of the padded lattice (the two padding
-rings keep every slice in bounds), the one-sided stencils overwrite the
-edge nodes through per-axis flat index lists built once with the grid, and
-the off-mask entries are then zeroed in place.
+A field is one float64 value per masked node, in `np.nonzero(mask)` order
+(x index major), so nothing is stored off the mask.  The lattice (`mask`,
+`X`, `Y`, `shape`) is only the geometry the nodes are taken from.  Each
+axis's stencils are node taps built once, on first use: y-neighbours are
+adjacent in node order, so the centered y difference is one subtraction of
+two slices; the centered x difference gathers through two index vectors;
+the one-sided stencils overwrite the edge nodes through index triples.
+
+Residual norms over a fine grid are taken band by band (`banded_norms`):
+each band of lattice columns carries a halo wide enough that its core
+nodes see the whole grid's stencils, so the peak memory of a check follows
+the band size rather than the node count.
 
 Closed forms f(x, y) reach the grid only through `DiscGrid.sample`, which
-evaluates them on masked nodes alone and stores zeros elsewhere, so a
-formula may be singular anywhere off the mask.
+evaluates them on the node coordinates alone, so a formula may be singular
+anywhere off the mask.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,8 +45,19 @@ __all__ = [
     "partial",
     "boundary_samples",
     "line_integral",
+    "banded_norms",
     "write_csv",
 ]
+
+
+def _finite_real(value) -> bool:
+    """A finite real number that is not a bool (an int beyond float range is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -60,8 +80,9 @@ class ExclusionZone:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown exclusion zone kind {self.kind!r}")
-        if self.size < 0:
-            raise ValueError("exclusion zone size must be >= 0")
+        if not _finite_real(self.size) or self.size < 0:
+            raise ValueError(f"exclusion zone size must be a finite number >= 0, "
+                             f"got {self.size!r}")
 
     def excludes(self, x, y):
         """Boolean array: True where the zone removes points."""
@@ -83,11 +104,14 @@ _MAX_LATTICE_POINTS = 5_000_000
 # Rows per formatting block in write_csv.
 _CSV_BLOCK_ROWS = 2048
 
-# Stencil codes per node per axis.
-_CENTERED = 0
-_FORWARD = 1
-_BACKWARD = 2
-_NONE = -1
+# Most core nodes per band in `banded_norms`, and the columns each band
+# carries beyond its core on either side: every stencil reads at most two
+# columns to each side, so two nested x-derivatives reach four.
+_BAND_NODES = 65536
+_HALO_COLUMNS = 4
+# Most values per sum of squares in `banded_norms`; band cores are cut
+# between such ranges.
+_SUM_LEAF_NODES = 4096
 
 
 def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
@@ -100,7 +124,7 @@ def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
 
 
 class DiscGrid:
-    """Unit-disc lattice with cached stencil selections.
+    """Unit-disc lattice, its masked nodes, and the stencil taps of each axis.
 
     Not meant to be constructed directly; use :func:`build_disc_grid`.
     """
@@ -112,30 +136,52 @@ class DiscGrid:
         self.zones = tuple(zones)
         self.mask = mask
         self.coords = coords  # 1-d lattice coordinates, shared by both axes
-        self.X, self.Y = np.meshgrid(coords, coords, indexing="ij")
         self.shape = mask.shape
-        self.n_nodes = int(mask.sum())
-        self._off_mask = ~mask
-        # stencil code arrays, one per axis (0 -> x, 1 -> y), and the flat
-        # indices of the forward and backward (one-sided) nodes of each axis
-        self._stencils = [self._stencil_codes(ax) for ax in (0, 1)]
-        self._edges = [(np.flatnonzero(code == _FORWARD), np.flatnonzero(code == _BACKWARD))
-                       for code in self._stencils]
-        # node ordering for exports: row-major by j (y) then i (x)
-        ii, jj = np.nonzero(mask)
-        order = np.lexsort((ii, jj))
-        self._node_idx = (ii[order], jj[order])
+        self.n_nodes = int(np.count_nonzero(mask))
 
-    def _stencil_codes(self, axis: int) -> np.ndarray:
-        m = self.mask
-        up1, dn1, up2, dn2 = _neighbours(m, axis)
-        code = np.full(self.shape, _NONE, dtype=np.int8)
-        code[m & up1 & dn1] = _CENTERED
-        fwd = m & (code == _NONE) & up1 & up2
-        code[fwd] = _FORWARD
-        bwd = m & (code == _NONE) & dn1 & dn2
-        code[bwd] = _BACKWARD
-        return code
+    # Node coordinates and stencil taps are built on first use: a grid that
+    # is only split into bands (see `band`) never needs its own.
+    @cached_property
+    def _node_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        ii, jj = np.nonzero(self.mask)
+        x, y = self.coords[ii], self.coords[jj]
+        # read-only, since closed forms receive them as is
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
+
+    x = property(lambda self: self._node_xy[0])
+    y = property(lambda self: self._node_xy[1])
+
+    @cached_property
+    def _taps(self):
+        """(x taps, edge taps): the stencil taps of `partial`.
+
+        A node is centered on an axis if both neighbours are nodes, else
+        forward if the two above are, else backward (pruning leaves no other
+        case); the one-sided ones are kept with their two taps inward,
+        ((fw, fw+1, fw+2), (bw, bw-1, bw-2)) in axis steps, one pair per
+        axis.  Centered x taps are kept for every node, a one-sided node
+        tapping itself twice (a zero its edge stencil overwrites); y needs
+        none, its neighbours being the adjacent nodes.
+        """
+        ii, jj = np.nonzero(self.mask)
+        node = np.full(self.shape, -1, dtype=np.intp)  # lattice point -> node, or -1
+        node[self.mask] = own = np.arange(self.n_nodes)
+        edge_taps = []
+        for ax in (0, 1):
+            up1, dn1, up2, dn2 = (node[ii + d, jj] if ax == 0 else node[ii, jj + d]
+                                  for d in (1, -1, 2, -2))
+            centered = (up1 >= 0) & (dn1 >= 0)
+            forward = ~centered & (up1 >= 0) & (up2 >= 0)
+            fw, bw = np.flatnonzero(forward), np.flatnonzero(~centered & ~forward)
+            edge_taps.append(((fw, up1[fw], up2[fw]), (bw, dn1[bw], dn2[bw])))
+            if ax == 0:
+                x_taps = (np.where(centered, up1, own), np.where(centered, dn1, own))
+        return x_taps, edge_taps
+
+    # the lattice coordinates, as read-only views of shape `shape`
+    X = property(lambda self: np.broadcast_to(self.coords[:, None], self.shape))
+    Y = property(lambda self: np.broadcast_to(self.coords[None, :], self.shape))
 
     def contains(self, x, y) -> np.ndarray:
         """Geometric membership test for the masked region (not node snapping)."""
@@ -147,7 +193,7 @@ class DiscGrid:
         return inside
 
     def interior_mask(self, radius: int = 2) -> np.ndarray:
-        """Nodes whose full L-inf neighbourhood of `radius` lattice steps is masked in.
+        """Per node: True if every lattice point within `radius` axis steps is a node.
 
         On such nodes every difference involved in residual assembly is a
         centered stencil; convergence ratios are measured here because the
@@ -157,55 +203,70 @@ class DiscGrid:
         for ax in (0, 1):
             for k in range(1, radius + 1):
                 ok &= np.roll(self.mask, k, ax) & np.roll(self.mask, -k, ax)
-        return ok
+        return ok[self.mask]
 
-    def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        ii, jj = self._node_idx
-        return self.X[ii, jj], self.Y[ii, jj]
+    def band(self, lo: int, hi: int) -> tuple["DiscGrid", slice]:
+        """The grid on the lattice columns that hold nodes lo..hi-1, plus halo.
 
-    def node_values(self, data: np.ndarray) -> np.ndarray:
-        ii, jj = self._node_idx
-        return data[ii, jj]
+        Returns (band, core): `band` holds every node of those columns and of
+        `_HALO_COLUMNS` more on either side; `core` is the slice of its nodes
+        that are nodes lo..hi-1 here.  Near its ends a band's stencil taps
+        differ from the grid's, but not within `_HALO_COLUMNS` columns of
+        them: a result built node by node from closed forms with at most two
+        nested x-derivatives has the same value, bit for bit, on a core node
+        as on the whole grid.  The whole node range is the grid itself.
+        """
+        if lo == 0 and hi == self.n_nodes:
+            return self, slice(None)
+        starts = np.concatenate(([0], np.cumsum(np.count_nonzero(self.mask, axis=1))))
+        c0 = max(int(np.searchsorted(starts, lo, "right")) - 1 - _HALO_COLUMNS, 0)
+        c1 = min(int(np.searchsorted(starts, hi - 1, "right")) + _HALO_COLUMNS, self.shape[0])
+        mask = np.zeros_like(self.mask)
+        mask[c0:c1] = self.mask[c0:c1]
+        return (DiscGrid(self.h, self.margin, self.zones, mask, self.coords),
+                slice(int(lo - starts[c0]), int(hi - starts[c0])))
+
+    def node_index(self, x, y) -> np.ndarray:
+        """The node numbers of the points (x, y), which must be nodes."""
+        i = np.rint((x - self.coords[0]) / self.h).astype(int)
+        j = np.rint((y - self.coords[0]) / self.h).astype(int)
+        # nodes are in row-major lattice order, so their flat lattice indices are sorted
+        return np.searchsorted(np.flatnonzero(self.mask), np.ravel_multi_index((i, j), self.shape))
 
     def on_mask(self, f: Callable, what: str = "closed form"):
-        """f(x, y) with the masked node coordinates as 1-d arrays.
+        """f(x, y) with the node coordinates as 1-d arrays.
 
         A division by zero, invalid operation or overflow raises ValueError
-        naming `what`; nodes off the mask are never evaluated.
+        naming `what`; points off the mask are never evaluated.
         """
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
-                return f(self.X[self.mask], self.Y[self.mask])
+                return f(self.x, self.y)
             except FloatingPointError as exc:
                 raise ValueError(f"{what} is not finite on the mask: {exc}") from None
 
     def sample(self, f: Callable) -> tuple["ScalarField", ...]:
-        """Evaluate a closed form f(x, y) on the masked nodes, one field per output.
+        """Evaluate a closed form f(x, y) on the nodes, one field per output.
 
-        f returns one value or a tuple of values (arrays over the masked
-        nodes, or scalars); see `on_mask` for the floating-point policy.
-        Off-mask entries are zero.
+        f returns one value or a tuple of values (arrays over the nodes, or
+        scalars); see `on_mask` for the floating-point policy.
         """
         out = self.on_mask(f)
-        return tuple(self.scatter(v) for v in (out if isinstance(out, tuple) else (out,)))
-
-    def scatter(self, values) -> "ScalarField":
-        """The field holding `values` on the masked nodes (in mask order), zero elsewhere."""
-        data = np.zeros(self.shape)
-        data[self.mask] = values
-        return ScalarField(self, data)
+        return tuple(self.field(v) for v in (out if isinstance(out, tuple) else (out,)))
 
     def field(self, values) -> "ScalarField":
-        """Build a field from a constant, a full 2-d array, or a callable f(x, y)."""
+        """A field from a constant, a callable f(x, y) (see `sample`), an array
+        over the nodes, or a lattice-shaped array, which is restricted to the nodes."""
         if callable(values):
             (f,) = self.sample(values)
             return f
-        data = np.broadcast_to(np.asarray(values, dtype=float), self.shape).copy()
-        np.copyto(data, 0.0, where=self._off_mask)
-        return ScalarField(self, data)
+        data = np.asarray(values, dtype=float)
+        if data.shape == self.shape:
+            data = data[self.mask]
+        return ScalarField(self, np.broadcast_to(data, (self.n_nodes,)).copy())
 
     def zeros(self) -> "ScalarField":
-        return ScalarField(self, np.zeros(self.shape))
+        return ScalarField(self, np.zeros(self.n_nodes))
 
 
 def build_disc_grid(h: float, margin: float | None = None,
@@ -229,9 +290,8 @@ def build_disc_grid(h: float, margin: float | None = None,
     zones = tuple(zones)
 
     m_half = int(math.floor(1.0 / h)) + 2  # two padding rings outside the disc
-    idx = np.arange(-m_half, m_half + 1)
-    coords = idx * h
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    coords = np.arange(-m_half, m_half + 1) * h
+    X, Y = coords[:, None], coords[None, :]
     mask = X * X + Y * Y <= (1.0 - margin) ** 2 + 1e-12
     for z in zones:
         mask &= ~z.excludes(X, Y)
@@ -252,51 +312,46 @@ def build_disc_grid(h: float, margin: float | None = None,
 
 
 class ScalarField:
-    """One value per grid node.  Immutable by convention; operators copy."""
+    """One value per masked node, in node order.  Immutable by convention; operators copy."""
 
     __slots__ = ("grid", "data")
 
     def __init__(self, grid: DiscGrid, data: np.ndarray):
-        if data.shape != grid.shape:
+        if data.shape != (grid.n_nodes,):
             raise ValueError("field shape does not match grid")
-        if not np.isfinite(data).all() and not np.isfinite(data[grid.mask]).all():
+        if not np.isfinite(data).all():
             raise ValueError("field contains non-finite values on the mask")
         self.grid = grid
         self.data = data
 
     def max_norm(self) -> float:
-        return float(np.abs(self.data[self.grid.mask]).max())
+        return float(np.abs(self.data).max())
 
     def l2_norm(self) -> float:
-        v = self.data[self.grid.mask]
+        v = self.data
         return float(math.sqrt(float((v * v).sum()) * self.grid.h**2))
 
     def partial(self, axis: int) -> "ScalarField":
         return partial(self, axis)
 
-    def _wrap(self, data) -> "ScalarField":
-        """A fresh operator result as a field, zeroed off the mask in place."""
-        np.copyto(data, 0.0, where=self.grid._off_mask)
-        return ScalarField(self.grid, data)
-
     def __add__(self, other):
-        return self._wrap(self.data + _data_of(other))
+        return ScalarField(self.grid, self.data + _data_of(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._wrap(self.data - _data_of(other))
+        return ScalarField(self.grid, self.data - _data_of(other))
 
     def __rsub__(self, other):
-        return self._wrap(_data_of(other) - self.data)
+        return ScalarField(self.grid, _data_of(other) - self.data)
 
     def __mul__(self, other):
-        return self._wrap(self.data * _data_of(other))
+        return ScalarField(self.grid, self.data * _data_of(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._wrap(-self.data)
+        return ScalarField(self.grid, -self.data)
 
 
 def _data_of(x):
@@ -315,9 +370,7 @@ class AngleField:
     def __init__(self, c: ScalarField, s: ScalarField):
         if c.grid is not s.grid:
             raise ValueError("cos/sin sheets live on different grids")
-        norm = c.data**2 + s.data**2
-        bad = np.abs(norm[c.grid.mask] - 1.0) > 1e-12
-        if bad.any():
+        if (np.abs(c.data**2 + s.data**2 - 1.0) > 1e-12).any():
             raise ValueError("angle pair is not unit-norm on the mask")
         self.grid = c.grid
         self.c = c
@@ -331,31 +384,28 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     """Second-order d/dt^axis, axis 1 -> x, axis 2 -> y.
 
     Centered on interior nodes, one-sided second-order at the mask edge;
-    exact for polynomials of degree <= 2 along the axis.  Only masked
-    entries of f reach the result: the centered pass also differences
-    off-mask entries (which may be non-finite), but those results are
-    overwritten or zeroed, so their floating-point errors are ignored.
+    exact for polynomials of degree <= 2 along the axis.  The centered pass
+    runs over every node and the edge stencils then overwrite the one-sided
+    nodes (node 0 is y-forward and the last node y-backward, so the slices
+    always leave them to the edge pass).
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 (x) or 2 (y)")
     g = f.grid
-    ax = axis - 1
-    a = f.data
+    v = f.data
     two_h = 2.0 * g.h
-    out = np.empty(g.shape)
-    if ax == 0:
-        hi, lo, inner = a[2:], a[:-2], out[1:-1]
+    out = np.empty(g.n_nodes)
+    if axis == 1:
+        up, dn = g._taps[0]
+        np.subtract(v[up], v[dn], out=out)
+        out /= two_h
     else:
-        hi, lo, inner = a[:, 2:], a[:, :-2], out[:, 1:-1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.subtract(hi, lo, out=inner)
+        inner = out[1:-1]
+        np.subtract(v[2:], v[:-2], out=inner)
         inner /= two_h
-    flat, res = a.reshape(-1), out.reshape(-1)
-    step = g.shape[1] if ax == 0 else 1
-    fw, bw = g._edges[ax]
-    res[fw] = (-3.0 * flat[fw] + 4.0 * flat[fw + step] - flat[fw + 2 * step]) / two_h
-    res[bw] = (3.0 * flat[bw] - 4.0 * flat[bw - step] + flat[bw - 2 * step]) / two_h
-    np.copyto(out, 0.0, where=g._off_mask)
+    (fw, fw1, fw2), (bw, bw1, bw2) = g._taps[1][axis - 1]
+    out[fw] = (-3.0 * v[fw] + 4.0 * v[fw1] - v[fw2]) / two_h
+    out[bw] = (3.0 * v[bw] - 4.0 * v[bw1] + v[bw2]) / two_h
     return ScalarField(g, out)
 
 
@@ -400,19 +450,85 @@ def line_integral(grid: DiscGrid, sampler: Callable, path: Sequence[tuple[float,
     return total
 
 
+def _pairwise_halves(n: int) -> tuple[int, int]:
+    """Where numpy's pairwise summation splits n values: half, rounded down to a multiple of 8."""
+    half = n // 2 - n // 2 % 8
+    return half, n - half
+
+
+def _sum_leaves(lo: int, n: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of the ranges numpy's pairwise sum over lo..lo+n-1 recurses
+    into, down to at most `size` values each, in order."""
+    if n <= size:
+        return [(lo, lo + n)]
+    left, right = _pairwise_halves(n)
+    return _sum_leaves(lo, left, size) + _sum_leaves(lo + left, right, size)
+
+
+def _pairwise_total(leaf_sums: dict[int, float], lo: int, n: int, size: int) -> float:
+    """The sum over lo..lo+n-1 from the sums of its `_sum_leaves`, added as numpy adds them."""
+    if n <= size:
+        return leaf_sums[lo]
+    left, right = _pairwise_halves(n)
+    return (_pairwise_total(leaf_sums, lo, left, size)
+            + _pairwise_total(leaf_sums, lo + left, right, size))
+
+
+def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], dict],
+                 max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
+    """{name: (max norm, l2 norm)} of the fields `residuals(band)` returns.
+
+    `residuals` maps a grid to {name: ScalarField} and must build fields of
+    the kind `DiscGrid.band` keeps exact.  It runs on one band at a time,
+    whose cores hold at most `max_nodes` nodes each, so the memory a call
+    needs follows `max_nodes` rather than the grid's node count.  Both norms
+    equal `ScalarField.max_norm` and `l2_norm` on the whole grid bit for
+    bit: the sums of squares are taken over the ranges numpy's pairwise sum
+    splits the nodes into, and added back up in its order.
+    """
+    size = min(_SUM_LEAF_NODES, max_nodes)
+    peak: dict[str, float] = {}
+    leaf_sums: dict[str, dict[int, float]] = {}
+
+    def take(cut):
+        """Norm data of the band whose core is the leaves `cut`; its fields die on return."""
+        lo = cut[0][0]
+        band, core = grid.band(lo, cut[-1][1])
+        for name, f in residuals(band).items():
+            v = f.data[core]
+            peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
+            sums = leaf_sums.setdefault(name, {})
+            for start, stop in cut:
+                w = v[start - lo:stop - lo]
+                sums[start] = float((w * w).sum())
+
+    leaves = _sum_leaves(0, grid.n_nodes, size)
+    while leaves:
+        k = 1
+        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
+            k += 1
+        take(leaves[:k])
+        leaves = leaves[k:]
+    n = grid.n_nodes
+    return {name: (peak[name], math.sqrt(_pairwise_total(leaf_sums[name], 0, n, size)
+                                         * grid.h**2))
+            for name in peak}
+
+
 def write_csv(path, grid: DiscGrid, columns: dict[str, ScalarField]) -> None:
     """Write node fields as CSV with 17 significant digits.
 
-    Header is x,y,<names>; rows are ordered row-major by j then i so two
-    runs with the same config are byte-identical.  Rows are formatted a
-    block at a time, so only one block is ever held as Python floats.
+    Header is x,y,<names>; rows are ordered row-major by j then i (y, then
+    x) so two runs with the same config are byte-identical.  Rows are
+    formatted a block at a time, so only one block is ever held as Python
+    floats.
     """
-    xs, ys = grid.node_coordinates()
-    cols = [xs, ys] + [grid.node_values(f.data) for f in columns.values()]
+    order = np.lexsort((grid.x, grid.y))
+    cols = [grid.x[order], grid.y[order]] + [f.data[order] for f in columns.values()]
     header = "x,y," + ",".join(columns)
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(xs), _CSV_BLOCK_ROWS):
+        for start in range(0, grid.n_nodes, _CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -89,8 +89,7 @@ def plastic_cic(rho: ScalarField, phi: AngleField, k: ScalarField,
     line 2:  d/dy(-mu c + nu s) - d/dx(mu s + nu c)
     line 3:  d/dy((u+mu)s + (v+nu)c) + K_y phi_x - d/dx((u+mu)c - (v+nu)s) - K_x phi_y
     """
-    grid = k.grid
-    if (k.data[grid.mask] <= 0).any():
+    if (k.data <= 0).any():
         raise ValueError("degenerate Mohr radius")
     c, s = phi.c, phi.s
     line1 = partial(u, 2) - partial(v, 1)

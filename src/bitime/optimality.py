@@ -83,11 +83,11 @@ def stationarity_residual(msys: MultiplierSystem, cost: CostBundle, grid: DiscGr
     sv = [state_value(f) for f in states]
     cv = [f.data for f in controls]
     pv = costates.values()
-    x, y = grid.X, grid.Y
+    x, y = grid.x, grid.y
     h0 = hamiltonian(msys, cost, x, y, sv, cv, pv)
     out = []
     for a in range(msys.n_controls):
         shifted = list(cv)
         shifted[a] = cv[a] + 1.0
-        out.append(grid.field(hamiltonian(msys, cost, x, y, sv, shifted, pv) - h0))
+        out.append(ScalarField(grid, hamiltonian(msys, cost, x, y, sv, shifted, pv) - h0))
     return out

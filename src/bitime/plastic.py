@@ -181,7 +181,7 @@ class PlasticState:
         grid = self.rho.grid
         if self.k.grid is not grid or self.phi.grid is not grid:
             raise ValueError("state components live on different grids")
-        if (self.k.data[grid.mask] <= 0).any():
+        if (self.k.data <= 0).any():
             raise ValueError("degenerate Mohr radius")
 
     @property
@@ -317,10 +317,10 @@ def k_equation_residual(k: ScalarField) -> ScalarField:
     kxy = partial(kx, 2)
     kxx = partial(kx, 1)
     kyy = partial(ky, 2)
-    out = (2.0 * (g.Y**2 - g.X**2) * kxy.data
-           - 2.0 * g.X * g.Y * (kyy.data - kxx.data)
-           + 4.0 * (g.Y * kx.data - g.X * ky.data))
-    return g.field(out)
+    out = (2.0 * (g.y**2 - g.x**2) * kxy.data
+           - 2.0 * g.x * g.y * (kyy.data - kxx.data)
+           + 4.0 * (g.y * kx.data - g.x * ky.data))
+    return ScalarField(g, out)
 
 
 def costates_star(x, y, q1_shift: float = 0.0):

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscGrid, ScalarField, boundary_samples, build_disc_grid, write_csv
+from .grid import (DiscGrid, ScalarField, _finite_real, banded_norms,
+                   boundary_samples, build_disc_grid, write_csv)
 from .integrability import plastic_cic
 from .optimality import stationarity_residual
 from .plastic import (Family, boundary_condition_residual, build_state,
@@ -93,16 +94,6 @@ DEFAULT_TOLERANCE_C = {
     ("constant", "(28.2)"): 450.0,
     ("constant", "(28.3)"): 700.0,
 }
-
-
-def _finite_real(value) -> bool:
-    """A finite real number that is not a bool (an int beyond float range is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -239,14 +230,14 @@ def _residual_fields(config: RunConfig, grid: DiscGrid):
     out["(8.1)"], out["(8.2)"] = f1, f2
 
     # R_i of the cross-triple is det2(A_i); check it against LAPACK's LU
-    # determinant, on the masked nodes only
+    # determinant
     sv = [state_value(f) for f in states]
     det_err = 0.0
     for i in (1, 2, 3):
-        a = sys.matrix(i, grid, sv, [])[:, :, grid.mask]
+        a = sys.matrix(i, grid, sv, [])
         det = np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))
         det_err = det_err + np.abs(det2(a) - det)
-    out["(6.R)"] = grid.scatter(det_err)
+    out["(6.R)"] = ScalarField(grid, det_err)
 
     u, v, mu, nu = canonical_controls(grid, family)
     c1, c2, c3 = plastic_cic(state.rho, state.phi, state.k, u, v, mu, nu)
@@ -257,16 +248,16 @@ def _residual_fields(config: RunConfig, grid: DiscGrid):
     # on fully-interior nodes (everything else uses single stencils and
     # stays second-order up to the mask edge).
     keq = k_equation_residual(state.k)
-    out["(K-equation)"] = grid.field(np.where(grid.interior_mask(2), keq.data, 0.0))
+    out["(K-equation)"] = ScalarField(grid, np.where(grid.interior_mask(2), keq.data, 0.0))
 
     costates = costate_bundle_star(grid, config.perturb_q1)
     msys = plastic_multiplier_system()
     cost = plastic_cost()
     stat = stationarity_residual(msys, cost, grid, states, (u, v, mu, nu), costates)
-    stat_max = grid.zeros()
+    stat_max = np.zeros(grid.n_nodes)
     for r in stat:
-        stat_max = grid.field(np.maximum(stat_max.data, np.abs(r.data)))
-    out["(26)"] = stat_max
+        np.maximum(stat_max, np.abs(r.data), out=stat_max)
+    out["(26)"] = ScalarField(grid, stat_max)
 
     (p1f, p2f), _, (q1f, q2f) = costates.components
     l1, l2, l3 = costate_system_residual(p1f, p2f, q1f, q2f, state.phi)
@@ -280,12 +271,12 @@ _EXACT_CONDITIONS = {"(7.3)", "(6.R)", "(26)", "(27.1)", "(27.2)", "(27.3)", "(2
 def run_verify(config: RunConfig) -> Report:
     """Evaluate every condition of the plastic suite at the configured h."""
     grid = config.make_grid()
-    fields, _, _, _ = _residual_fields(config, grid)
+    norms = banded_norms(grid, lambda band: _residual_fields(config, band)[0])
     results = []
-    for name, f in fields.items():
+    for name, (max_norm, l2_norm) in norms.items():
         tol = _EXACT_TOL if name in _EXACT_CONDITIONS else config.tolerance(name, grid.h)
-        results.append(ConditionResult(condition=name, max_norm=f.max_norm(),
-                                       l2_norm=f.l2_norm(), scale=grid.h,
+        results.append(ConditionResult(condition=name, max_norm=max_norm,
+                                       l2_norm=l2_norm, scale=grid.h,
                                        tolerance=tol))
 
     w = 2.0 * math.pi / config.m
@@ -296,12 +287,6 @@ def run_verify(config: RunConfig) -> Report:
             l2_norm=float(math.sqrt(float((res * res).sum()) * w)),
             scale=float(config.m), tolerance=_EXACT_TOL))
     return Report(family=config.family, h=grid.h, conditions=tuple(results))
-
-
-def _values_at(grid: DiscGrid, data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    i = np.rint((xs - grid.coords[0]) / grid.h).astype(int)
-    j = np.rint((ys - grid.coords[0]) / grid.h).astype(int)
-    return data[i, j]
 
 
 def run_convergence(config: RunConfig, h_values) -> dict:
@@ -321,15 +306,17 @@ def run_convergence(config: RunConfig, h_values) -> dict:
                              f"{a:g} followed by {b:g}")
     coarse = config.make_grid(hs[0])
     safe = coarse.interior_mask(2)
-    xs, ys = coarse.X[safe], coarse.Y[safe]
+    if not safe.any():
+        raise ValueError(f"the coarsest grid (h = {hs[0]:g}) has no interior node to compare on")
+    xs, ys = coarse.x[safe], coarse.y[safe]
 
     norms: dict[str, list[float]] = {}
     for h in hs:
         grid = config.make_grid(h)
         fields, _, _, _ = _residual_fields(config, grid)
+        common = grid.node_index(xs, ys)
         for name, f in fields.items():
-            vals = _values_at(grid, f.data, xs, ys)
-            norms.setdefault(name, []).append(float(np.abs(vals).max()))
+            norms.setdefault(name, []).append(float(np.abs(f.data[common]).max()))
 
     rows = []
     for name, ns in norms.items():

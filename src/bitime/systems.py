@@ -6,8 +6,9 @@ system assigns each of the first n-1 gradient equations its own canonical
 control field v_i = A_i grad x^i, leaving the last equation to absorb
 B - sum(v_i).  Per-state quantities (the split, the cross-triples) never
 sum over the state index; the alpha/beta sums are explicit loops.
-Coefficients are evaluated on the masked nodes only (`DiscGrid.on_mask`)
-and are zero elsewhere, so an entry may be singular off the mask.
+Coefficients are evaluated on the node coordinates (`DiscGrid.on_mask`)
+and stored like fields, one value per node, so an entry may be singular
+off the mask.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = [
 ]
 
 # A matrix evaluator maps (x, y, state_values, control_values) to a 2x2 nest
-# of arrays/scalars broadcastable against the grid.  Scalar states pass their
-# value array; angle states pass the (cos, sin) pair of arrays.
+# of arrays/scalars broadcastable against the node vectors.  Scalar states
+# pass their node values; angle states pass the (cos, sin) pair of arrays.
 MatrixEval = Callable[..., Sequence[Sequence[np.ndarray]]]
 RhsEval = Callable[..., Sequence[np.ndarray]]
 
@@ -68,28 +69,22 @@ class QuasiLinearSystem:
             raise ValueError("need one coefficient evaluator per state")
 
     def matrix(self, i: int, grid: DiscGrid, state_values, control_values) -> np.ndarray:
-        """A_i, shape (2, 2) + grid.shape, zero off the mask.  i is 1-based."""
+        """A_i, shape (2, 2, grid.n_nodes).  i is 1-based."""
         return _on_mask(self.a[i - 1], grid, state_values, control_values, 2,
                         f"coefficient matrix A_{i}")
 
     def rhs(self, grid: DiscGrid, state_values, control_values) -> np.ndarray:
-        """B, shape (2,) + grid.shape, zero off the mask."""
+        """B, shape (2, grid.n_nodes)."""
         return _on_mask(self.b, grid, state_values, control_values, 1, "right-hand side B")
 
 
 def _on_mask(fn, grid: DiscGrid, state_values, control_values, rank: int, what: str):
-    """Evaluate a coefficient on the masked nodes only (see `DiscGrid.on_mask`)."""
-    m = grid.mask
-    sv = [tuple(a[m] for a in v) if isinstance(v, tuple) else v[m] for v in state_values]
-    cv = [a[m] for a in control_values]
-    values = nest_array(grid.on_mask(lambda x, y: fn(x, y, sv, cv), what),
-                        (grid.n_nodes,), rank)
+    """Evaluate a coefficient on the nodes (see `DiscGrid.on_mask`) as one array."""
+    values = nest_array(grid.on_mask(lambda x, y: fn(x, y, state_values, control_values),
+                                     what), (grid.n_nodes,), rank)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} is not finite on the mask")
-    out = np.zeros(values.shape[:rank] + grid.shape)
-    for idx in np.ndindex(*values.shape[:rank]):
-        out[idx][m] = values[idx]
-    return out
+    return values
 
 
 def state_value(f):
@@ -140,7 +135,7 @@ def split_controls(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) 
         gy = states[i - 1].partial(2).data
         v1 = a[0, 0] * gx + a[0, 1] * gy
         v2 = a[1, 0] * gx + a[1, 1] * gy
-        v.append((grid.field(v1), grid.field(v2)))
+        v.append((ScalarField(grid, v1), ScalarField(grid, v2)))
     return SplitSystem(base=sys, grid=grid, states=tuple(states),
                        controls=tuple(controls), v=tuple(v))
 
@@ -164,7 +159,7 @@ def cross_triple(split: SplitSystem, i: int) -> CrossTriple:
             w2 -= vj[1].data
     p = a[0, 1] * w2 - a[1, 1] * w1
     q = a[1, 0] * w1 - a[0, 0] * w2
-    return CrossTriple(grid.field(p), grid.field(q), grid.field(det2(a)))
+    return CrossTriple(ScalarField(grid, p), ScalarField(grid, q), ScalarField(grid, det2(a)))
 
 
 def forward_residual(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) -> tuple[ScalarField, ScalarField]:
@@ -183,4 +178,4 @@ def forward_residual(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()
         gy = states[i - 1].partial(2).data
         res[0] = res[0] + a[0, 0] * gx + a[0, 1] * gy
         res[1] = res[1] + a[1, 0] * gx + a[1, 1] * gy
-    return grid.field(res[0]), grid.field(res[1])
+    return ScalarField(grid, res[0]), ScalarField(grid, res[1])

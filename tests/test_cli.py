@@ -103,6 +103,26 @@ class TestVerify:
         assert_usage_error(runner.invoke(main, [command, "--h", "1e-9",
                                                 "--out", str(tmp_path)]))
 
+    @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
+    @pytest.mark.parametrize("flags", [["--alpha", "1e200"],
+                                       ["--family", "constant", "--delta", "1e200"],
+                                       ["--family", "inv_x", "--beta", "1e300"]])
+    def test_field_overflow_one_line(self, runner, tmp_path, command, flags):
+        # K^2 overflows in the yield identity: one error line, no numpy warning
+        grid = ["--h-values", "1/8,1/16"] if command == "convergence" else ["--h", "1/16"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [command, *grid, *flags, "--out", str(tmp_path)])
+        assert_usage_error(result)
+        assert "float64 range" in result.stderr
+        assert not caught
+
+    @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
+    def test_config_not_an_object(self, runner, tmp_path, command):
+        path = write_json(tmp_path / "c.json", [{"h": 0.125}])
+        assert_usage_error(runner.invoke(main, [command, "--config", path,
+                                                "--out", str(tmp_path)]))
+
     def test_family_flag(self, runner):
         result = runner.invoke(main, ["verify", "--h", "1/32",
                                       "--family", "constant", "--delta", "2.0"])
@@ -223,6 +243,46 @@ class TestResiduals:
         spec = write_json(tmp_path / "s.json", dict(PLASTIC_SYSTEM, h=1e-9))
         assert_usage_error(runner.invoke(main, ["residuals", spec]))
 
+    @pytest.mark.parametrize("system", [
+        dict(PLASTIC_SYSTEM, h=10**400),
+        dict(PLASTIC_SYSTEM, zones=[{"kind": "half_x", "size": 10**400}]),
+        dict(PLASTIC_SYSTEM, zones=[{"kind": "origin", "size": 1e200}]),
+    ], ids=["h", "zone-size", "zone-size-squared"])
+    def test_number_beyond_float_range(self, runner, tmp_path, system):
+        # an integer beyond float64 range is read exactly by json, then overflows
+        spec = write_json(tmp_path / "s.json", system)
+        assert_usage_error(runner.invoke(main, ["residuals", spec]))
+
+    def test_json_integer_beyond_digit_limit(self, runner, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"h": 1' + "0" * 5000 + "}")
+        assert_usage_error(runner.invoke(main, ["residuals", str(path)]))
+
+    @pytest.mark.parametrize("entry, where", [
+        (("A", 0, 0, 0), "A[0][0][0]"),
+        (("A", 3, 1, 0), "A[3][1][0]"),
+        (("B", 1), "B[1]"),
+        (("state_fields", "rho"), "state_fields.rho"),
+    ])
+    def test_compile_error_names_entry(self, runner, tmp_path, entry, where):
+        names = ["rho", "K", "phi", "a", "b", "c"]
+        system = {"states": names, "controls": [],
+                  "A": [[["1", "0"], ["0", "1"]] for _ in names], "B": ["0", "0"],
+                  "state_fields": {name: "x" for name in names}, "h": 1 / 16}
+        target = system
+        for key in entry[:-1]:
+            target = target[key]
+        target[entry[-1]] = "sin("
+        result = runner.invoke(main, ["residuals", write_json(tmp_path / "s.json", system)])
+        assert_usage_error(result)
+        assert result.stderr.startswith(f"error: {where}: '(' was never closed (line 1, column 4)")
+
+    def test_field_evaluation_error_names_entry(self, runner, tmp_path):
+        system = dict(PLASTIC_SYSTEM, zones=[])  # 1/x meets the node x = 0
+        result = runner.invoke(main, ["residuals", write_json(tmp_path / "s.json", system)])
+        assert_usage_error(result)
+        assert result.stderr.startswith("error: state_fields.rho is not finite on the mask")
+
     @pytest.mark.parametrize("formula", ["1if x else 2", "x is 1", "\x00", "\ud800"])
     def test_rejected_expression_one_line(self, runner, tmp_path, formula):
         # no parser SyntaxWarning or encoding traceback around the error line
@@ -261,6 +321,13 @@ class TestConvergence:
     def test_non_halving(self, runner):
         result = runner.invoke(main, ["convergence", "--h-values", "1/32,1/48"])
         assert result.exit_code == 2
+
+    def test_no_interior_node(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {"family": "inv_x", "eps0": 0.4, "margin": 0.1})
+        result = runner.invoke(main, ["convergence", "--config", cfg,
+                                      "--h-values", "1/8,1/16"])
+        assert_usage_error(result)
+        assert "no interior node" in result.stderr
 
     @pytest.mark.parametrize("h_values", ["1/0", "1/32,abc"])
     def test_unparsable_h_values(self, runner, h_values):

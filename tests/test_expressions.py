@@ -143,8 +143,7 @@ class TestSystemFromConfig:
         sys = system_from_config(cfg)
         states, controls = fields_from_config(cfg, grid32)
         a = sys.matrix(1, grid32, [s.data for s in states], [])
-        expect = 1.0 + grid32.X**2
-        assert abs((a[0, 0] - expect)[grid32.mask]).max() <= 1e-14
+        assert abs(a[0, 0] - (1.0 + grid32.x**2)).max() <= 1e-14
 
     def test_missing_field_entry(self, grid32):
         cfg = dict(SINGLE, state_fields={})

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitime.grid import (_BACKWARD, _CENTERED, _FORWARD, _MAX_LATTICE_POINTS,
-                         AngleField, ExclusionZone, ScalarField, boundary_samples,
-                         build_disc_grid, line_integral, partial, write_csv)
+from bitime.grid import (_MAX_LATTICE_POINTS, AngleField, ExclusionZone, ScalarField,
+                         banded_norms, boundary_samples, build_disc_grid, line_integral,
+                         partial, write_csv)
 from bitime.plastic import FAMILY_KINDS, Family
 
 
 def node_set(grid):
-    xs, ys = grid.node_coordinates()
-    return {(round(x, 12), round(y, 12)) for x, y in zip(xs, ys)}
+    return {(round(x, 12), round(y, 12)) for x, y in zip(grid.x, grid.y)}
 
 
 class TestBuildDiscGrid:
@@ -26,13 +25,11 @@ class TestBuildDiscGrid:
 
     def test_margin_mask(self):
         grid = build_disc_grid(1 / 64, margin=0.05)
-        xs, ys = grid.node_coordinates()
-        assert np.all(xs**2 + ys**2 <= 0.9025 + 1e-12)
+        assert np.all(grid.x**2 + grid.y**2 <= 0.9025 + 1e-12)
 
     def test_exclusion_zone(self):
         grid = build_disc_grid(1 / 64, zones=[ExclusionZone("abs_x", 0.1)])
-        xs, _ = grid.node_coordinates()
-        assert np.all(np.abs(xs) >= 0.1 - 1e-12)
+        assert np.all(np.abs(grid.x) >= 0.1 - 1e-12)
 
     def test_lattice_budget(self):
         # refused from h alone, before any array is allocated
@@ -53,32 +50,47 @@ class TestBuildDiscGrid:
             build_disc_grid(1.5)
 
     def test_all_nodes_in_unit_disc(self, grid32):
-        xs, ys = grid32.node_coordinates()
-        assert np.all(xs**2 + ys**2 <= 1.0)
+        assert np.all(grid32.x**2 + grid32.y**2 <= 1.0)
 
     def test_every_node_has_stencil(self, grid32):
         # after pruning every node admits a second-order stencil on both axes
         for ax in (0, 1):
-            codes = grid32._stencils[ax]
-            assert not np.any(grid32.mask & (codes == -1))
+            codes = reference_codes(grid32.mask, ax)
+            assert not np.any(grid32.mask & (codes == NONE))
+
+    def test_nodes_in_lattice_order(self, grid32):
+        # node k is the k-th lattice point of the mask in row-major order
+        ii, jj = np.nonzero(grid32.mask)
+        assert grid32.n_nodes == ii.size
+        assert np.array_equal(grid32.x, grid32.X[ii, jj])
+        assert np.array_equal(grid32.y, grid32.Y[ii, jj])
+
+    def test_node_index(self, grid32):
+        # the node numbers of node coordinates, in any order
+        k = np.random.default_rng(3).permutation(grid32.n_nodes)
+        assert np.array_equal(grid32.node_index(grid32.x[k], grid32.y[k]), k)
+
+    def test_zone_size_must_be_finite_number(self):
+        for size in (10**400, float("inf"), float("nan"), "0.1", True, -0.1):
+            with pytest.raises(ValueError, match="zone size"):
+                ExclusionZone("half_x", size)
 
 
 class TestPartial:
     def test_linear_exact(self, grid32):
         f = grid32.field(lambda x, y: x)
         d = partial(f, 1)
-        assert abs(d.data[grid32.mask] - 1.0).max() <= 1e-12
+        assert abs(d.data - 1.0).max() <= 1e-12
 
     def test_quadratic_exact(self, grid32):
         f = grid32.field(lambda x, y: x * x)
         d = partial(f, 1)
-        err = d.data - 2.0 * grid32.X
-        assert abs(err[grid32.mask]).max() <= 1e-12
+        assert abs(d.data - 2.0 * grid32.x).max() <= 1e-12
 
     def test_axis_2(self, grid32):
         f = grid32.field(lambda x, y: y * y)
         d = partial(f, 2)
-        assert abs((d.data - 2.0 * grid32.Y)[grid32.mask]).max() <= 1e-12
+        assert abs(d.data - 2.0 * grid32.y).max() <= 1e-12
 
     def test_bad_axis(self, grid32):
         with pytest.raises(ValueError):
@@ -89,7 +101,7 @@ class TestPartial:
         for h in (1 / 64, 1 / 128):
             g = build_disc_grid(h)
             d = partial(g.field(lambda x, y: np.sin(x)), 1)
-            errs.append(abs((d.data - np.cos(g.X))[g.mask]).max())
+            errs.append(abs(d.data - np.cos(g.x)).max())
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
@@ -115,22 +127,34 @@ class TestPartial:
         assert (d12 - d21).max_norm() <= 50.0 * grid32.h**2
 
 
-def reference_partial(f, axis):
-    """The np.roll implementation of `partial`, kept as the reference for its kernel."""
-    g = f.grid
+CENTERED, FORWARD, BACKWARD, NONE = 0, 1, 2, -1
+
+
+def reference_codes(mask, ax):
+    """Stencil code of every lattice point along lattice axis ax, from np.roll shifts."""
+    up1, dn1, up2, dn2 = (np.roll(mask, -k, axis=ax) for k in (1, -1, 2, -2))
+    code = np.full(mask.shape, NONE, dtype=np.int8)
+    code[mask & up1 & dn1] = CENTERED
+    code[mask & (code == NONE) & up1 & up2] = FORWARD
+    code[mask & (code == NONE) & dn1 & dn2] = BACKWARD
+    return code
+
+
+def reference_partial(grid, a, axis):
+    """The np.roll lattice kernel `partial` replaced, kept as the reference for its
+    node taps: d/dt^axis of the lattice array a, zero off the mask."""
     ax = axis - 1
-    a = f.data
-    code = g._stencils[ax]
+    code = reference_codes(grid.mask, ax)
     up1, dn1, up2, dn2 = (np.roll(a, -k, axis=ax) for k in (1, -1, 2, -2))
-    two_h = 2.0 * g.h
+    two_h = 2.0 * grid.h
     out = np.zeros_like(a)
-    c = code == _CENTERED
+    c = code == CENTERED
     out[c] = (up1[c] - dn1[c]) / two_h
-    fw = code == _FORWARD
+    fw = code == FORWARD
     out[fw] = (-3.0 * a[fw] + 4.0 * up1[fw] - up2[fw]) / two_h
-    bw = code == _BACKWARD
+    bw = code == BACKWARD
     out[bw] = (3.0 * a[bw] - 4.0 * dn1[bw] + dn2[bw]) / two_h
-    return ScalarField(g, out)
+    return out
 
 
 @pytest.fixture(scope="module", params=[(k, h) for k in FAMILY_KINDS for h in (1 / 32, 1 / 64)],
@@ -141,59 +165,59 @@ def family_grid(request):
 
 
 def random_on_mask(grid, seed):
+    """A lattice-shaped array: random on the mask, zero off it."""
     data = np.random.default_rng(seed).standard_normal(grid.shape)
     data[~grid.mask] = 0.0
     return data
 
 
 class TestStencilReference:
-    """`partial` and field re-masking agree bit for bit with the np.roll kernel."""
+    """`partial` on node vectors agrees bit for bit with the np.roll lattice kernel."""
 
     @pytest.mark.parametrize("axis", [1, 2])
     def test_random_data(self, family_grid, axis):
-        f = ScalarField(family_grid, random_on_mask(family_grid, 7))
+        data = random_on_mask(family_grid, 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = partial(f, axis)
-        assert np.array_equal(got.data, reference_partial(f, axis).data)
+            got = partial(family_grid.field(data), axis)
+        want = reference_partial(family_grid, data, axis)
+        assert np.array_equal(got.data, want[family_grid.mask])
 
     @pytest.mark.parametrize("axis", [1, 2])
     def test_nonfinite_off_mask(self, family_grid, axis):
-        # built directly: regions of inf, -inf and NaN border the masked edge
-        # nodes, so the centered pass meets inf - inf off the mask
+        # regions of inf, -inf and NaN border the masked edge nodes of the
+        # lattice array; restricting it to the nodes drops them all
         g = family_grid
         data = random_on_mask(g, 11)
         off = ~g.mask
         data[off & (g.X < 0)] = np.inf
         data[off & (g.X >= 0) & (g.Y < 0)] = -np.inf
         data[off & (g.X >= 0) & (g.Y >= 0)] = np.nan
-        f = ScalarField(family_grid, data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = partial(f, axis)
-            want = reference_partial(f, axis)
-        assert np.array_equal(got.data, want.data)
-        assert not got.data[~family_grid.mask].any()
+            got = partial(g.field(data), axis)
+            want = reference_partial(g, data, axis)
+        assert np.array_equal(got.data, want[g.mask])
 
     def test_arithmetic_zero_off_mask(self, grid32):
-        f = ScalarField(grid32, random_on_mask(grid32, 3))
-        g = ScalarField(grid32, random_on_mask(grid32, 5))
-        off = ~grid32.mask
-        for r in (f + g, f - g, f * g, -f, 2.0 + f, 2.0 - f, 3.0 * f, f + grid32.X):
-            assert not r.data[off].any()
-        assert np.array_equal((f * g).data[grid32.mask], (f.data * g.data)[grid32.mask])
-        assert np.array_equal((2.0 - f).data[grid32.mask], 2.0 - f.data[grid32.mask])
-        assert not grid32.field(grid32.X + 1.0).data[off].any()
+        # nothing is stored off the mask: every result is one value per node
+        f = grid32.field(random_on_mask(grid32, 3))
+        g = grid32.field(random_on_mask(grid32, 5))
+        for r in (f + g, f - g, f * g, -f, 2.0 + f, 2.0 - f, 3.0 * f, f + grid32.x):
+            assert r.data.shape == (grid32.n_nodes,)
+        assert np.array_equal((f * g).data, f.data * g.data)
+        assert np.array_equal((2.0 - f).data, 2.0 - f.data)
+        assert np.array_equal(grid32.field(grid32.X + 1.0).data, grid32.x + 1.0)
 
     def test_nonfinite_accepted_off_mask_only(self, grid32):
         data = random_on_mask(grid32, 13)
         data[~grid32.mask] = np.nan
-        ScalarField(grid32, data)
+        grid32.field(data)
         node = tuple(np.argwhere(grid32.mask)[0])
         for bad in (np.nan, np.inf, -np.inf):
             data[node] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                ScalarField(grid32, data)
+                grid32.field(data)
 
 
 class TestFields:
@@ -202,21 +226,25 @@ class TestFields:
         grid = build_disc_grid(1 / 32, zones=[ExclusionZone("half_x", 0.1)])
         with np.errstate(all="raise"):
             f = grid.field(lambda x, y: 1.0 / x)
-        assert np.array_equal(f.data[grid.mask], 1.0 / grid.X[grid.mask])
-        assert not f.data[~grid.mask].any()
+        assert np.array_equal(f.data, 1.0 / grid.x)
 
     def test_sample_one_field_per_output(self, grid32):
         a, b = grid32.sample(lambda x, y: (x * y, 2.0))
-        assert np.array_equal(a.data[grid32.mask], (grid32.X * grid32.Y)[grid32.mask])
-        assert np.all(b.data[grid32.mask] == 2.0)
-        assert not a.data[~grid32.mask].any() and not b.data[~grid32.mask].any()
+        assert np.array_equal(a.data, grid32.x * grid32.y)
+        assert np.all(b.data == 2.0) and b.data.shape == (grid32.n_nodes,)
+
+    def test_sample_result_owns_its_data(self, grid32):
+        # a closed form that returns its input must not alias the grid's coordinates
+        (f,) = grid32.sample(lambda x, y: x)
+        f.data[:] = 0.0
+        assert grid32.x.any()
 
     def test_sample_singular_on_mask_rejected(self, grid32):
         with pytest.raises(ValueError, match="not finite on the mask"):
             grid32.field(lambda x, y: 1.0 / x)
 
     def test_nonfinite_rejected(self, grid32):
-        data = np.full(grid32.shape, np.nan)
+        data = np.full(grid32.n_nodes, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             ScalarField(grid32, data)
 
@@ -241,12 +269,39 @@ class TestFields:
                           grid32.field(np.sin(theta.data)))
         d = pair.partial(1)
         # cos/sin are not polynomial, so this is O(h^2), not stencil-exact
-        assert abs(d.data[grid32.mask] - 0.3).max() <= 0.1 * grid32.h**2
+        assert abs(d.data - 0.3).max() <= 0.1 * grid32.h**2
 
     def test_interior_mask_subset(self, grid32):
         inner = grid32.interior_mask(2)
-        assert np.all(~inner | grid32.mask)
-        assert inner.sum() < grid32.mask.sum()
+        assert inner.shape == (grid32.n_nodes,)
+        assert 0 < inner.sum() < grid32.n_nodes
+
+
+class TestBands:
+    def test_whole_range_is_the_grid(self, grid32):
+        assert grid32.band(0, grid32.n_nodes) == (grid32, slice(None))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 700), (350, 1900), (1234, 1235)])
+    def test_core_is_the_node_range(self, family_grid, lo, hi):
+        band, core = family_grid.band(lo, hi)
+        assert band.n_nodes < family_grid.n_nodes
+        assert np.array_equal(band.x[core], family_grid.x[lo:hi])
+        assert np.array_equal(band.y[core], family_grid.y[lo:hi])
+
+    def test_two_nested_x_derivatives_exact_on_cores(self, family_grid):
+        def fields(g):
+            f = g.field(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * x * y)
+            fx = partial(f, 1)
+            return {"xx": partial(fx, 1), "xy": partial(fx, 2),
+                    "mixed": partial(f * fx + g.field(lambda x, y: y), 1)}
+
+        whole = fields(family_grid)
+        norms = banded_norms(family_grid, fields, 300)
+        assert norms == {name: (f.max_norm(), f.l2_norm()) for name, f in whole.items()}
+
+    def test_one_band_norms_exact(self, grid32):
+        f = grid32.field(lambda x, y: x * y + 0.5)
+        assert banded_norms(grid32, lambda g: {"f": f}) == {"f": (f.max_norm(), f.l2_norm())}
 
 
 class TestBoundarySamples:
@@ -327,8 +382,9 @@ class TestCsvExport:
         special = grid.field(lambda x, y: np.where(x > 0, -0.0, 1.0 / 3.0) * 10.0 ** (7 * y))
         cols = {"a": grid.field(lambda x, y: np.exp(x) * 1e-300), "b": special}
         write_csv(tmp_path / "new.csv", grid, cols)
-        xs, ys = grid.node_coordinates()
-        values = [xs, ys] + [grid.node_values(f.data) for f in cols.values()]
+        # rows by y, then x: an independent spelling of the export order
+        rows = sorted(range(grid.n_nodes), key=lambda k: (grid.y[k], grid.x[k]))
+        values = [v[rows] for v in [grid.x, grid.y] + [f.data for f in cols.values()]]
         want = "x,y,a,b\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                      for row in zip(*values))
         assert (tmp_path / "new.csv").read_text() == want

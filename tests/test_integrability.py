@@ -36,7 +36,7 @@ class TestCicSingle:
         # P = -y, Q = 0, R = 1: residual is identically -1
         p = grid32.field(lambda x, y: -y)
         res = cic_single(p, grid32.zeros(), grid32.field(1.0), grid32.zeros())
-        assert abs(res.data[grid32.mask] + 1.0).max() <= 1e-12
+        assert abs(res.data + 1.0).max() <= 1e-12
 
 
 class TestCicMulti:
@@ -60,6 +60,26 @@ class TestCicMulti:
             t = cross_triple(split, i)
             manual = cic_single(t.p, t.q, t.r, state)
             assert (rep.residuals[i - 1] - manual).max_norm() <= 1e-10
+
+    def test_banded_matches_whole_grid(self):
+        # the residuals command takes cic_multi band by band: composed
+        # x-derivatives must reach no further than a band's halo
+        from bitime.grid import banded_norms
+
+        a1 = lambda x, y, s, c: ((1.0 + s[1] * x, x * y), (0.2 * s[0], 2.0 - x))
+        a2 = lambda x, y, s, c: ((1.0, 0.5 * s[0]), (np.sin(s[1]), 1.0 + y * y))
+        b = lambda x, y, s, c: (x + y, x * y)
+        sys = QuasiLinearSystem(n=2, n_controls=0, a=(a1, a2), b=b)
+        grid = build_disc_grid(1 / 64, zones=(ExclusionZone("abs_x", 0.2),))
+
+        def residuals(g):
+            states = [g.field(lambda x, y: x * x * y), g.field(lambda x, y: y + 0.3 * x * x)]
+            rep = cic_multi(split_controls(sys, g, states))
+            return {i: r for i, r in enumerate(rep.residuals)}
+
+        whole = residuals(grid)
+        assert banded_norms(grid, residuals, 700) == {
+            i: (r.max_norm(), r.l2_norm()) for i, r in whole.items()}
 
     def test_angle_state_rejected(self, grid32):
         sys = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,), b=ZERO_B)

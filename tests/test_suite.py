@@ -112,6 +112,20 @@ class TestRunVerify:
         got = {c.condition: c for c in run_verify(config).conditions}["(6.R)"]
         assert (got.max_norm, got.l2_norm) == (want.max_norm(), want.l2_norm())
 
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_banded_norms_match_whole_grid(self, family):
+        # run_verify takes its norms band by band; on narrow bands every norm
+        # still equals the whole grid's bit for bit
+        from bitime.grid import banded_norms
+        from bitime.suite import _residual_fields
+
+        config = RunConfig(h=1 / 64, family=family, perturb_q1=1e-3)
+        grid = config.make_grid()
+        whole, *_ = _residual_fields(config, grid)
+        banded = banded_norms(grid, lambda band: _residual_fields(config, band)[0], 900)
+        assert banded == {name: (f.max_norm(), f.l2_norm()) for name, f in whole.items()}
+        assert list(banded) == list(whole)
+
     def test_corrupted_costate_fails_27(self):
         report = run_verify(RunConfig(h=1 / 32, perturb_q1=0.1))
         assert not report.passed

@@ -40,9 +40,9 @@ class TestQuasiLinearSystem:
         w = grid.field(lambda x, y: x)
         a = sys.matrix(1, grid, [w.data], [])
         b = sys.rhs(grid, [w.data], [])
-        assert not a[:, :, ~grid.mask].any() and not b[:, ~grid.mask].any()
-        assert abs((a[0, 0] * w.data)[grid.mask] - 1.0).max() <= 1e-15
-        assert abs((b[0] * grid.X)[grid.mask] - 1.0).max() <= 1e-15
+        assert a.shape == (2, 2, grid.n_nodes) and b.shape == (2, grid.n_nodes)
+        assert abs(a[0, 0] * w.data - 1.0).max() <= 1e-15
+        assert abs(b[0] * grid.x - 1.0).max() <= 1e-15
 
     def test_nonfinite_rhs_rejected(self, grid32):
         bad = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,),
@@ -59,8 +59,8 @@ class TestSplitControls:
         other = grid32.field(0.0)
         split = split_controls(sys, grid32, [rho, other])
         v1, v2 = split.v[0]
-        assert abs(v1.data[grid32.mask] - 1.0).max() <= 1e-12
-        assert abs(v2.data[grid32.mask] - 2.0).max() <= 1e-12
+        assert abs(v1.data - 1.0).max() <= 1e-12
+        assert abs(v2.data - 2.0).max() <= 1e-12
 
     def test_constant_states_zero_controls(self, grid32):
         sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
@@ -83,7 +83,7 @@ class TestSplitControls:
         gx, gy = s1.partial(1).data, s1.partial(2).data
         for b in range(2):
             lhs = a[b, 0] * gx + a[b, 1] * gy
-            assert abs((lhs - split.v[0][b].data)[grid32.mask]).max() <= 1e-14
+            assert abs((lhs - split.v[0][b].data)).max() <= 1e-14
 
 
 class TestCrossTriple:
@@ -93,9 +93,9 @@ class TestCrossTriple:
         split = split_controls(sys, grid32, [u, grid32.field(0.0)])
         t = cross_triple(split, 1)
         # (P, Q, R) = (-u, -v, 1) with (u, v) the gradient components
-        assert abs((t.p.data + split.v[0][0].data)[grid32.mask]).max() <= 1e-14
-        assert abs((t.q.data + split.v[0][1].data)[grid32.mask]).max() <= 1e-14
-        assert abs(t.r.data[grid32.mask] - 1.0).max() <= 1e-14
+        assert abs((t.p.data + split.v[0][0].data)).max() <= 1e-14
+        assert abs((t.q.data + split.v[0][1].data)).max() <= 1e-14
+        assert abs(t.r.data - 1.0).max() <= 1e-14
 
     def test_plastic_a2_at_phi_zero(self, grid32):
         # A_2 at phi = 0 is [[-1, 0], [0, 1]]; v = (mu, nu) -> (-mu, nu, -1)
@@ -105,9 +105,9 @@ class TestCrossTriple:
         state = grid32.field(lambda x, y: -mu * x + nu * y)
         split = split_controls(sys, grid32, [state, grid32.field(0.0)])
         t = cross_triple(split, 1)
-        assert abs(t.p.data[grid32.mask] + mu).max() <= 1e-12
-        assert abs(t.q.data[grid32.mask] - nu).max() <= 1e-12
-        assert abs(t.r.data[grid32.mask] + 1.0).max() <= 1e-14
+        assert abs(t.p.data + mu).max() <= 1e-12
+        assert abs(t.q.data - nu).max() <= 1e-12
+        assert abs(t.r.data + 1.0).max() <= 1e-14
 
     def test_r_is_det_a3(self, grid32):
         # A_3 of the plastic system: det = -K^2
@@ -119,7 +119,7 @@ class TestCrossTriple:
         phi = phi_star_field(grid)
         split = split_controls(plastic_system(), grid, [rho, k, phi])
         t = cross_triple(split, 3)
-        assert abs((t.r.data + k.data**2)[grid.mask]).max() <= 1e-12
+        assert abs((t.r.data + k.data**2)).max() <= 1e-12
 
     def test_index_range(self, grid32):
         sys = single_state_system()
