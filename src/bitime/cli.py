@@ -6,6 +6,7 @@ pools (it must be set before numpy loads its BLAS backends, which is why
 it is handled at the top of this module).
 """
 
+import functools
 import json
 import os
 import sys
@@ -27,110 +28,114 @@ def _load_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise click.exceptions.Exit(_fail(f"cannot read {path}: {exc}"))
+        raise _fail(f"cannot read {path}: {exc}")
     except ValueError as exc:  # a syntax error, or an integer beyond the digit limit
-        raise click.exceptions.Exit(_fail(f"invalid JSON in {path}: {exc}"))
+        raise _fail(f"invalid JSON in {path}: {exc}")
 
 
 def _fail(message):
+    """Print `message` as the one `error:` line; the exit-2 exception to raise."""
     click.echo(f"error: {message}", err=True)
-    return _CONFIG_ERROR
+    return click.exceptions.Exit(_CONFIG_ERROR)
 
 
 @contextmanager
 def _input_errors(*kinds):
-    """Exit 2 with one line on an exception of `kinds` or on arithmetic out of
-    float64 range, which numpy raises here instead of warning."""
+    """Exit 2 with one line on a usage error, an exception of `kinds` or arithmetic
+    out of float64 range, which numpy raises here instead of warning."""
     import numpy as np
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             yield
+    except click.UsageError as exc:
+        raise _fail(exc.format_message())
     except (FloatingPointError, OverflowError) as exc:
-        raise click.exceptions.Exit(_fail(f"arithmetic out of float64 range ({exc})"))
+        raise _fail(f"arithmetic out of float64 range ({exc})")
     except kinds as exc:
-        raise click.exceptions.Exit(_fail(str(exc)))
+        raise _fail(str(exc))
 
 
 def _parse_h(text):
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
+        return float(num) / (float(den) if slash else 1.0)
     except (ValueError, ZeroDivisionError):
-        raise click.exceptions.Exit(
-            _fail(f"invalid grid spacing {text!r}: expected a number or a fraction like 1/64"))
+        raise _fail(f"invalid grid spacing {text!r}: expected a number or a fraction like 1/64")
 
 
 def _build_config(config_path, **overrides):
     from .suite import RunConfig
     data = _load_json(config_path) if config_path else {}
-    with _input_errors(TypeError, ValueError):
-        if not isinstance(data, dict):
-            raise ValueError(f"config {config_path} must be a JSON object")
-        return RunConfig.from_dict({**data, **{k: v for k, v in overrides.items()
-                                               if v is not None}})
+    if not isinstance(data, dict):
+        raise ValueError(f"config {config_path} must be a JSON object")
+    return RunConfig.from_dict({**data, **{k: v for k, v in overrides.items() if v is not None}})
 
 
-def _common_options(fn):
-    for opt in reversed([
-        click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="JSON config file; flags override its keys."),
-        click.option("--h", "h", type=str, default=None,
-                     help="Grid spacing (accepts fractions like 1/64)."),
-        click.option("--family", type=str, default=None,
-                     help="Solution family: quadratic, inv_x, inv_y, constant."),
-        click.option("--alpha", type=float, default=None),
-        click.option("--beta", type=float, default=None),
-        click.option("--gamma", type=float, default=None),
-        click.option("--delta", type=float, default=None),
-        click.option("--out", type=click.Path(), default=None,
-                     help="Output directory for file-writing commands."),
-        click.option("--json", "as_json", is_flag=True,
-                     help="Machine-readable report on stdout."),
-    ]):
-        fn = opt(fn)
-    return fn
+_OPTIONS = {
+    "--config": click.option("--config", "config_path", type=click.Path(), default=None,
+                             help="JSON config file; flags override its keys."),
+    "--h": click.option("--h", type=str, default=None,
+                        callback=lambda ctx, param, text: None if text is None else _parse_h(text),
+                        help="Grid spacing (accepts fractions like 1/64)."),
+    "--family": click.option("--family", type=str, default=None,
+                             help="Solution family: quadratic, inv_x, inv_y, constant."),
+    **{name: click.option(name, type=float, default=None)
+       for name in ("--alpha", "--beta", "--gamma", "--delta")},
+    "--out": click.option("--out", type=click.Path(), default=None,
+                          help="Output directory for the CSV files."),
+    "--json": click.option("--json", "as_json", is_flag=True,
+                           help="Machine-readable report on stdout."),
+}
+_FAMILY = ("--family", "--alpha", "--beta", "--gamma", "--delta")
 
 
-@click.group()
+def _options(*names):
+    """Decorator adding the named options, listed in this order."""
+    return lambda fn: functools.reduce(lambda f, name: _OPTIONS[name](f), reversed(names), fn)
+
+
+class _Commands(click.Group):
+    """Parses and runs every command under `_input_errors`, so a usage error or
+    a ValueError exits 2 with one `error:` line."""
+
+    def make_context(self, *args, **kwargs):
+        with _input_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _input_errors(ValueError):
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Commands, no_args_is_help=False)
 def main():
     """Verification tool for plane quasi-linear systems and their optimal controls."""
 
 
 @main.command()
-@_common_options
-def verify(config_path, h, family, alpha, beta, gamma, delta, out, as_json):
+@_options("--config", "--h", *_FAMILY, "--json")
+def verify(config_path, as_json, **flags):
     """Run the full closed-form verification suite."""
     from .suite import run_verify
-    config = _build_config(config_path, h=_parse_h(h) if h else None,
-                           family=family, alpha=alpha, beta=beta,
-                           gamma=gamma, delta=delta, out=out)
-    with _input_errors(ValueError):
-        report = run_verify(config)
+    report = run_verify(_build_config(config_path, **flags))
     click.echo(report.to_json() if as_json else report.to_text())
     sys.exit(0 if report.passed else _RESIDUAL_ERROR)
 
 
 @main.command()
 @click.argument("system_file", type=click.Path())
-@_common_options
-def residuals(system_file, config_path, h, family, alpha, beta, gamma, delta,
-              out, as_json):
+@_options("--h", "--json")
+def residuals(system_file, h, as_json):
     """Forward and integrability residual norms for a config-defined system."""
-    from .expressions import fields_from_config, system_from_config
-    from .grid import ExclusionZone, banded_norms, build_disc_grid
+    from .expressions import fields_from_config, grid_from_config, system_from_config
+    from .grid import banded_norms
     from .integrability import cic_multi
     from .systems import forward_residual, split_controls
 
     spec = _load_json(system_file)
-    with _input_errors(KeyError, TypeError, ValueError):
-        if config_path:
-            spec = {**_load_json(config_path), **spec}
+    with _input_errors(KeyError, TypeError):  # a system file of the wrong shape
         sys_def = system_from_config(spec)
-        h_val = _parse_h(h) if h else float(spec.get("h", 1.0 / 64.0))
-        zones = [ExclusionZone(z["kind"], z["size"]) for z in spec.get("zones", [])]
-        grid = build_disc_grid(h_val, zones=zones)
+        grid = grid_from_config(spec, h)
 
         def residual_fields(band):
             states, controls = fields_from_config(spec, band)
@@ -147,22 +152,17 @@ def residuals(system_file, config_path, h, family, alpha, beta, gamma, delta,
         for row in rows:
             click.echo(f"{row['condition']:10s} max={row['max_norm']:.6e} "
                        f"l2={row['l2_norm']:.6e}")
-    sys.exit(0)
 
 
 @main.command()
 @click.option("--h-values", "h_values", type=str, default="1/32,1/64,1/128",
               help="Comma-separated halving sequence of grid spacings.")
-@_common_options
-def convergence(h_values, config_path, h, family, alpha, beta, gamma, delta,
-                out, as_json):
+@_options("--config", *_FAMILY, "--json")
+def convergence(h_values, config_path, as_json, **flags):
     """h-halving study: residual norms and consecutive ratios per condition."""
     from .suite import run_convergence
-    config = _build_config(config_path, family=family, alpha=alpha, beta=beta,
-                           gamma=gamma, delta=delta, out=out)
-    with _input_errors(ValueError):
-        hs = [_parse_h(tok) for tok in h_values.split(",") if tok.strip()]
-        table = run_convergence(config, hs)
+    config = _build_config(config_path, **flags)
+    table = run_convergence(config, [_parse_h(tok) for tok in h_values.split(",") if tok.strip()])
     if as_json:
         click.echo(json.dumps(table, indent=2))
     else:
@@ -175,24 +175,20 @@ def convergence(h_values, config_path, h, family, alpha, beta, gamma, delta,
 
 
 @main.command()
-@_common_options
-def fields(config_path, h, family, alpha, beta, gamma, delta, out, as_json):
+@_options("--config", "--h", *_FAMILY, "--out", "--json")
+def fields(config_path, as_json, **flags):
     """Write state, stress, costate, and residual fields as CSV."""
     from .suite import write_fields
-    config = _build_config(config_path, h=_parse_h(h) if h else None,
-                           family=family, alpha=alpha, beta=beta,
-                           gamma=gamma, delta=delta, out=out)
-    with _input_errors(ValueError):
-        try:
-            paths = write_fields(config)
-        except OSError as exc:
-            raise click.exceptions.Exit(_fail(f"cannot write output: {exc}"))
+    config = _build_config(config_path, **flags)
+    try:
+        paths = write_fields(config)
+    except OSError as exc:
+        raise _fail(f"cannot write output: {exc}")
     if as_json:
         click.echo(json.dumps({"files": paths}))
     else:
         for p in paths:
             click.echo(p)
-    sys.exit(0)
 
 
 if __name__ == "__main__":

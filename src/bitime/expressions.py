@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import DiscGrid
+from .grid import DiscGrid, ExclusionZone, _finite_real, build_disc_grid
 from .systems import QuasiLinearSystem
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "compile_expression",
     "system_from_config",
     "fields_from_config",
+    "grid_from_config",
 ]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "atan2": np.arctan2}
@@ -217,3 +218,22 @@ def fields_from_config(cfg: dict, grid: DiscGrid):
 
     return (build("state_fields", cfg.get("states", [])),
             build("control_fields", cfg.get("controls", [])))
+
+
+def grid_from_config(cfg: dict, h: float | None = None) -> DiscGrid:
+    """The disc grid minus the config's `zones`, at spacing `h`, else the config's "h" or 1/64."""
+    h = cfg.get("h", 1.0 / 64.0) if h is None else h
+    if not _finite_real(h):
+        raise ExpressionError(f"h: must be a finite number, got {h!r}")
+    entries = cfg.get("zones", [])
+    if not isinstance(entries, list):
+        raise ExpressionError(f"zones: must be a list, got {entries!r}")
+    zones = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not {"kind", "size"} <= entry.keys():
+            raise ExpressionError(f'zones[{i}]: not a {{"kind", "size"}} object: {entry!r}')
+        try:
+            zones.append(ExclusionZone(entry["kind"], entry["size"]))
+        except ValueError as exc:
+            raise ExpressionError(f"zones[{i}]: {exc}") from None
+    return build_disc_grid(h, zones=zones)

@@ -13,7 +13,6 @@ Residuals are reported raw, not normalised by any coefficient magnitude.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .grid import AngleField, ScalarField, partial
@@ -29,25 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CicReport:
-    """Per-state CIC residual fields with their norms."""
+    """Per-state CIC residual fields."""
 
     residuals: tuple[ScalarField, ...]
-    h: float
-
-    @property
-    def max_norms(self) -> tuple[float, ...]:
-        return tuple(r.max_norm() for r in self.residuals)
-
-    @property
-    def l2_norms(self) -> tuple[float, ...]:
-        return tuple(r.l2_norm() for r in self.residuals)
-
-    def to_json(self) -> str:
-        entries = [
-            {"state_index": i + 1, "max_norm": r.max_norm(), "l2_norm": r.l2_norm(), "h": self.h}
-            for i, r in enumerate(self.residuals)
-        ]
-        return json.dumps(entries)
 
 
 def cic_single(p: ScalarField, q: ScalarField, r: ScalarField, x: ScalarField) -> ScalarField:
@@ -77,7 +60,7 @@ def cic_multi(split: SplitSystem, states=None) -> CicReport:
             )
         t = cross_triple(split, i)
         residuals.append(cic_single(t.p, t.q, t.r, xf))
-    return CicReport(residuals=tuple(residuals), h=split.grid.h)
+    return CicReport(residuals=tuple(residuals))
 
 
 def plastic_cic(rho: ScalarField, phi: AngleField, k: ScalarField,

@@ -23,6 +23,7 @@ family (DEFAULT_TOLERANCE_C, see the margin stated there); a config
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -311,8 +312,7 @@ def run_convergence(config: RunConfig, h_values) -> dict:
     xs, ys = coarse.x[safe], coarse.y[safe]
 
     norms: dict[str, list[float]] = {}
-    for h in hs:
-        grid = config.make_grid(h)
+    for grid in itertools.chain([coarse], map(config.make_grid, hs[1:])):
         fields, _, _, _ = _residual_fields(config, grid)
         common = grid.node_index(xs, ys)
         for name, f in fields.items():

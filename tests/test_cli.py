@@ -27,6 +27,11 @@ def assert_usage_error(result):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
+def out_flag(command, tmp_path):
+    """`--out` for the one command that writes files."""
+    return ["--out", str(tmp_path)] if command == "fields" else []
+
+
 BAD_H = ["1/0", "abc"]
 
 PLASTIC_SYSTEM = {
@@ -95,13 +100,13 @@ class TestVerify:
     def test_config_values_rejected(self, runner, tmp_path, command, cfg):
         path = write_json(tmp_path / "c.json", cfg)
         assert_usage_error(runner.invoke(main, [command, "--config", path,
-                                                "--out", str(tmp_path)]))
+                                                *out_flag(command, tmp_path)]))
 
     @pytest.mark.parametrize("command", ["verify", "fields"])
     def test_grid_over_budget(self, runner, tmp_path, command):
         # refused before the lattice is allocated (about 4e18 points)
         assert_usage_error(runner.invoke(main, [command, "--h", "1e-9",
-                                                "--out", str(tmp_path)]))
+                                                *out_flag(command, tmp_path)]))
 
     @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
     @pytest.mark.parametrize("flags", [["--alpha", "1e200"],
@@ -112,7 +117,8 @@ class TestVerify:
         grid = ["--h-values", "1/8,1/16"] if command == "convergence" else ["--h", "1/16"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = runner.invoke(main, [command, *grid, *flags, "--out", str(tmp_path)])
+            result = runner.invoke(main, [command, *grid, *flags,
+                                          *out_flag(command, tmp_path)])
         assert_usage_error(result)
         assert "float64 range" in result.stderr
         assert not caught
@@ -121,7 +127,7 @@ class TestVerify:
     def test_config_not_an_object(self, runner, tmp_path, command):
         path = write_json(tmp_path / "c.json", [{"h": 0.125}])
         assert_usage_error(runner.invoke(main, [command, "--config", path,
-                                                "--out", str(tmp_path)]))
+                                                *out_flag(command, tmp_path)]))
 
     def test_family_flag(self, runner):
         result = runner.invoke(main, ["verify", "--h", "1/32",
@@ -307,6 +313,23 @@ class TestResiduals:
         assert result.exit_code == 2
         assert "line 1" in result.output + str(result.stderr or "")
 
+    @pytest.mark.parametrize("entry, where", [
+        ({"zones": None}, "zones: "),
+        ({"zones": [1]}, "zones[0]: "),
+        ({"zones": [{"kind": "origin"}]}, "zones[0]: "),
+        ({"zones": [{"kind": "half_x", "size": 0.1}, {"kind": "bogus", "size": 0.1}]},
+         "zones[1]: unknown exclusion zone kind"),
+        ({"h": []}, "h: "),
+        ({"h": "0.015625"}, "h: "),
+        ({"h": True}, "h: "),
+    ], ids=["zones-null", "zone-not-object", "zone-without-size", "zone-kind",
+            "h-list", "h-string", "h-bool"])
+    def test_malformed_grid_entry_named(self, runner, tmp_path, entry, where):
+        spec = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, **entry})
+        result = runner.invoke(main, ["residuals", spec])
+        assert_usage_error(result)
+        assert result.stderr.startswith(f"error: {where}"), result.stderr
+
 
 class TestConvergence:
     def test_quadratic_table(self, runner):
@@ -370,3 +393,47 @@ class TestFields:
         result = runner.invoke(main, ["fields", "--h", "1/32",
                                       "--out", "/proc/definitely/not/writable"])
         assert result.exit_code == 2
+
+
+OPTIONS = {
+    "verify": ["--config", "--h", "--family", "--alpha", "--beta", "--gamma", "--delta",
+               "--json"],
+    "fields": ["--config", "--h", "--family", "--alpha", "--beta", "--gamma", "--delta",
+               "--out", "--json"],
+    "convergence": ["--h-values", "--config", "--family", "--alpha", "--beta", "--gamma",
+                    "--delta", "--json"],
+    "residuals": ["--h", "--json"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_takes_only_what_it_reads(self, command):
+        params = main.commands[command].params
+        assert [p.opts[0] for p in params if p.param_type_name == "option"] == OPTIONS[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", "--out"),
+        ("convergence", "--h"), ("convergence", "--out"),
+        *(("residuals", flag) for flag in ("--config", "--family", "--alpha", "--beta",
+                                           "--gamma", "--delta", "--out")),
+    ])
+    def test_removed_flag_one_line(self, runner, tmp_path, command, flag):
+        args = ["residuals", write_json(tmp_path / "s.json", PLASTIC_SYSTEM)] \
+            if command == "residuals" else [command]
+        result = runner.invoke(main, [*args, flag, "1"])
+        assert_usage_error(result)
+        assert flag in result.stderr
+
+    @pytest.mark.parametrize("args", [["verify", "--alpha", "abc"], ["residuals"],
+                                      ["verify", "--h"], ["bogus"], [], ["--bogus"]],
+                             ids=["bad-float", "missing-argument", "missing-value",
+                                  "unknown-command", "missing-command", "unknown-group-option"])
+    def test_usage_error_one_line(self, runner, args):
+        assert_usage_error(runner.invoke(main, args))
+
+    @pytest.mark.parametrize("command", [[], *([c] for c in sorted(OPTIONS))])
+    def test_help_unchanged(self, runner, command):
+        result = runner.invoke(main, [*command, "--help"])
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage: ") and result.stderr == ""

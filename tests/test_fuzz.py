@@ -177,8 +177,8 @@ COMMAND_FUZZ = settings(max_examples=40, deadline=None,
 def test_commands_on_fuzzed_config(tmp_path, config, command):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert_clean_exit(invoke([*command, "--config", str(path),
-                              "--out", str(tmp_path / "out")]))
+    out = ["--out", str(tmp_path / "out")] if command == ["fields"] else []
+    assert_clean_exit(invoke([*command, "--config", str(path), *out]))
 
 
 @COMMAND_FUZZ
