@@ -133,19 +133,18 @@ def residuals(system_file, h, as_json):
     from .systems import forward_residual, split_controls
 
     spec = _load_json(system_file)
-    with _input_errors(KeyError, TypeError):  # a system file of the wrong shape
-        sys_def = system_from_config(spec)
-        grid = grid_from_config(spec, h)
+    sys_def = system_from_config(spec)
+    grid = grid_from_config(spec, h)
 
-        def residual_fields(band):
-            states, controls = fields_from_config(spec, band)
-            fwd = forward_residual(sys_def, band, states, controls)
-            cic = cic_multi(split_controls(sys_def, band, states, controls))
-            return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
-                    **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+    def residual_fields(band):
+        states, controls = fields_from_config(spec, band)
+        fwd = forward_residual(sys_def, band, states, controls)
+        cic = cic_multi(split_controls(sys_def, band, states, controls))
+        return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
+                **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
 
-        rows = [{"condition": name, "max_norm": max_norm, "l2_norm": l2_norm, "h": grid.h}
-                for name, (max_norm, l2_norm) in banded_norms(grid, residual_fields).items()]
+    rows = [{"condition": name, "max_norm": max_norm, "l2_norm": l2_norm, "h": grid.h}
+            for name, (max_norm, l2_norm) in banded_norms(grid, residual_fields).items()]
     if as_json:
         click.echo(json.dumps({"h": grid.h, "rows": rows}, indent=2))
     else:

@@ -134,11 +134,20 @@ def _compile_entry(src, names: Sequence[str], where: str) -> Callable[..., np.nd
 
 
 def _matrix_entries(raw, n: int):
+    """The config's A: a list of n matrices, each a list of two rows of two entries."""
+    if not isinstance(raw, list):
+        raise ExpressionError(f"A: must be a list of {n} coefficient matrices, "
+                              f"got {type(raw).__name__}")
     if len(raw) != n:
-        raise ExpressionError(f"need {n} coefficient matrices, got {len(raw)}")
-    for mat in raw:
-        if len(mat) != 2 or any(len(row) != 2 for row in mat):
-            raise ExpressionError("each coefficient matrix must be 2x2")
+        raise ExpressionError(f"A: need {n} coefficient matrices, got {len(raw)}")
+    for i, mat in enumerate(raw):
+        if not isinstance(mat, list) or len(mat) != 2:
+            raise ExpressionError(f"A[{i}]: each coefficient matrix must be 2x2, "
+                                  "a list of two rows")
+        for b, row in enumerate(mat):
+            if not isinstance(row, list) or len(row) != 2:
+                raise ExpressionError(f"A[{i}][{b}]: each coefficient matrix must be 2x2, "
+                                      "a row is a list of two entries")
     return raw
 
 
@@ -178,8 +187,8 @@ def system_from_config(cfg: dict) -> QuasiLinearSystem:
     n = len(states)
     a_raw = _matrix_entries(cfg.get("A", []), n)
     b_raw = cfg.get("B", ["0", "0"])
-    if len(b_raw) != 2:
-        raise ExpressionError("B must have two components")
+    if not isinstance(b_raw, list) or len(b_raw) != 2:
+        raise ExpressionError("B: must be a list of two components")
 
     a_fns = [[[_compile_entry(a_raw[i][b][al], names, f"A[{i}][{b}][{al}]")
                for al in range(2)] for b in range(2)] for i in range(n)]
@@ -207,6 +216,9 @@ def fields_from_config(cfg: dict, grid: DiscGrid):
     """
     def build(section, declared):
         exprs = cfg.get(section, {})
+        if not isinstance(exprs, dict):
+            raise ExpressionError(f"{section}: must be an object mapping each name to a "
+                                  f"formula, got {type(exprs).__name__}")
         out = []
         for name in declared:
             if name not in exprs:

@@ -44,7 +44,6 @@ __all__ = [
     "build_disc_grid",
     "partial",
     "boundary_samples",
-    "line_integral",
     "banded_norms",
     "write_csv",
 ]
@@ -101,7 +100,7 @@ class ExclusionZone:
 # 2053^2 = 4.2e6 points.
 _MAX_LATTICE_POINTS = 5_000_000
 
-# Rows per formatting block in write_csv.
+# Rows per output block in write_csv.
 _CSV_BLOCK_ROWS = 2048
 
 # Most core nodes per band in `banded_norms`, and the columns each band
@@ -182,15 +181,6 @@ class DiscGrid:
     # the lattice coordinates, as read-only views of shape `shape`
     X = property(lambda self: np.broadcast_to(self.coords[:, None], self.shape))
     Y = property(lambda self: np.broadcast_to(self.coords[None, :], self.shape))
-
-    def contains(self, x, y) -> np.ndarray:
-        """Geometric membership test for the masked region (not node snapping)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inside = x * x + y * y <= (1.0 - self.margin) ** 2 + 1e-12
-        for z in self.zones:
-            inside &= ~z.excludes(x, y)
-        return inside
 
     def interior_mask(self, radius: int = 2) -> np.ndarray:
         """Per node: True if every lattice point within `radius` axis steps is a node.
@@ -421,35 +411,6 @@ def boundary_samples(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(th), np.sin(th)
 
 
-def line_integral(grid: DiscGrid, sampler: Callable, path: Sequence[tuple[float, float]],
-                  step: float | None = None) -> float:
-    """Midpoint-rule integral of v . dl along a polyline inside the mask.
-
-    `sampler(x, y)` returns the two components of v (array-capable).
-    Each segment is subdivided to pieces no longer than `step` (default: h).
-    """
-    pts = [tuple(map(float, p)) for p in path]
-    if len(pts) < 2:
-        raise ValueError("path needs at least two vertices")
-    for (px, py) in pts:
-        if not bool(grid.contains(px, py)):
-            raise ValueError("path leaves domain")
-    if step is None:
-        step = grid.h
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
-        length = math.hypot(x1 - x0, y1 - y0)
-        if length == 0.0:
-            continue
-        n = max(1, int(math.ceil(length / step)))
-        t = (np.arange(n) + 0.5) / n
-        xm = x0 + (x1 - x0) * t
-        ym = y0 + (y1 - y0) * t
-        vx, vy = sampler(xm, ym)
-        total += float(((x1 - x0) * np.asarray(vx) + (y1 - y0) * np.asarray(vy)).sum()) / n
-    return total
-
-
 def _pairwise_halves(n: int) -> tuple[int, int]:
     """Where numpy's pairwise summation splits n values: half, rounded down to a multiple of 8."""
     half = n // 2 - n // 2 % 8
@@ -519,16 +480,30 @@ def write_csv(path, grid: DiscGrid, columns: dict[str, ScalarField]) -> None:
     """Write node fields as CSV with 17 significant digits.
 
     Header is x,y,<names>; rows are ordered row-major by j then i (y, then
-    x) so two runs with the same config are byte-identical.  Rows are
-    formatted a block at a time, so only one block is ever held as Python
-    floats.
+    x) so two runs with the same config are byte-identical.  Each distinct
+    value of a column is formatted once: the column keeps one `%.17g`
+    spelling per float64 bit pattern (so -0.0 stays apart from 0.0) and
+    each row's index into them, and rows are gathered from those spellings
+    a block at a time.  The bytes are those of `%.17g` on every value.
     """
     order = np.lexsort((grid.x, grid.y))
-    cols = [grid.x[order], grid.y[order]] + [f.data[order] for f in columns.values()]
-    header = "x,y," + ",".join(columns)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    cols = [grid.x, grid.y] + [f.data for f in columns.values()]
+    spellings, picks = [], []
+    for c, values in enumerate(cols):
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        # 25 bytes per distinct value: its spelling, space-padded to the longest
+        # (24 characters, as in -2.2250738585072014e-308), then the separator;
+        # the padding is dropped on output
+        cell = "%-24.17g" + ("," if c < len(cols) - 1 else "\n")
+        text = (cell * len(bits)) % tuple(bits.view(np.float64).tolist())
+        spellings.append(np.frombuffer(text.encode(), np.uint8).reshape(-1, 25))
+        picks.append(inverse[order].astype(np.int32))
+    del bits, inverse, text  # not held while the rows are written
+    with open(path, "wb") as fh:
+        fh.write(("x,y," + ",".join(columns) + "\n").encode())
         for start in range(0, grid.n_nodes, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in cols])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            stop = min(start + _CSV_BLOCK_ROWS, grid.n_nodes)
+            block = np.empty((stop - start, len(cols), 25), np.uint8)
+            for c, (s, p) in enumerate(zip(spellings, picks)):
+                block[:, c] = s[p[start:stop]]
+            fh.write(block[block != ord(" ")])

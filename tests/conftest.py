@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from bitime.grid import build_disc_grid
@@ -12,3 +15,32 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid64():
     return build_disc_grid(1.0 / 64.0)
+
+
+def line_integral(grid, sampler, path, step=None) -> float:
+    """Midpoint-rule integral of v . dl along a polyline inside the grid's region.
+
+    `sampler(x, y)` returns the two components of v (array-capable).
+    Each segment is subdivided to pieces no longer than `step` (default: h).
+    """
+    pts = [tuple(map(float, p)) for p in path]
+    if len(pts) < 2:
+        raise ValueError("path needs at least two vertices")
+    for (px, py) in pts:
+        if (px * px + py * py > (1.0 - grid.margin) ** 2 + 1e-12
+                or any(z.excludes(px, py) for z in grid.zones)):
+            raise ValueError("path leaves domain")
+    if step is None:
+        step = grid.h
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
+        length = math.hypot(x1 - x0, y1 - y0)
+        if length == 0.0:
+            continue
+        n = max(1, int(math.ceil(length / step)))
+        t = (np.arange(n) + 0.5) / n
+        xm = x0 + (x1 - x0) * t
+        ym = y0 + (y1 - y0) * t
+        vx, vy = sampler(xm, ym)
+        total += float(((x1 - x0) * np.asarray(vx) + (y1 - y0) * np.asarray(vy)).sum()) / n
+    return total

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from bitime.grid import ExclusionZone, boundary_samples, build_disc_grid, line_integral
+from bitime.grid import ExclusionZone, boundary_samples, build_disc_grid
 from bitime.integrability import cic_multi, plastic_cic
 from bitime.plastic import (Family, build_state, canonical_controls,
                             costate_bundle_star, costate_system_residual,
@@ -23,6 +23,7 @@ from bitime.plastic import (Family, build_state, canonical_controls,
 from bitime.optimality import stationarity_residual
 from bitime.suite import RunConfig, run_convergence, run_verify
 from bitime.systems import cross_triple, forward_residual, split_controls
+from conftest import line_integral
 
 FAMILY_KINDS = ("quadratic", "inv_x", "inv_y", "constant")
 H_SEQUENCE = [1 / 32, 1 / 64, 1 / 128]

@@ -330,6 +330,21 @@ class TestResiduals:
         assert_usage_error(result)
         assert result.stderr.startswith(f"error: {where}"), result.stderr
 
+    @pytest.mark.parametrize("entry, where", [
+        ({"A": 5}, "A: "),
+        ({"A": [5] + PLASTIC_SYSTEM["A"][1:]}, "A[0]: "),
+        ({"A": [[{"a": "1", "b": "0"}, ["0", "1"]]] + PLASTIC_SYSTEM["A"][1:]}, "A[0][0]: "),
+        ({"B": 5}, "B: "),
+        ({"state_fields": ["1/x", "1/x", "0"]}, "state_fields: "),
+        ({"control_fields": 3}, "control_fields: "),
+    ], ids=["A-number", "A-matrix-number", "A-row-object", "B-number", "state-fields-list",
+            "control-fields-number"])
+    def test_wrong_shape_named(self, runner, tmp_path, entry, where):
+        spec = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, **entry})
+        result = runner.invoke(main, ["residuals", spec])
+        assert_usage_error(result)
+        assert result.stderr.startswith(f"error: {where}"), result.stderr
+
 
 class TestConvergence:
     def test_quadratic_table(self, runner):

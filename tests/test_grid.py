@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitime.grid import (_MAX_LATTICE_POINTS, AngleField, ExclusionZone, ScalarField,
-                         banded_norms, boundary_samples, build_disc_grid, line_integral,
+from bitime.grid import (_CSV_BLOCK_ROWS, _MAX_LATTICE_POINTS, AngleField, ExclusionZone,
+                         ScalarField, banded_norms, boundary_samples, build_disc_grid,
                          partial, write_csv)
 from bitime.plastic import FAMILY_KINDS, Family
+from conftest import line_integral
 
 
 def node_set(grid):
@@ -382,9 +383,35 @@ class TestCsvExport:
         special = grid.field(lambda x, y: np.where(x > 0, -0.0, 1.0 / 3.0) * 10.0 ** (7 * y))
         cols = {"a": grid.field(lambda x, y: np.exp(x) * 1e-300), "b": special}
         write_csv(tmp_path / "new.csv", grid, cols)
-        # rows by y, then x: an independent spelling of the export order
-        rows = sorted(range(grid.n_nodes), key=lambda k: (grid.y[k], grid.x[k]))
-        values = [v[rows] for v in [grid.x, grid.y] + [f.data for f in cols.values()]]
-        want = "x,y,a,b\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                                     for row in zip(*values))
-        assert (tmp_path / "new.csv").read_text() == want
+        assert (tmp_path / "new.csv").read_bytes() == per_value_csv(grid, cols)
+
+    @pytest.mark.parametrize("kind", ["signed_zeros", "constant", "all_distinct",
+                                      "longest_spellings", "subnormals"])
+    def test_distinct_values_match_per_value_reference(self, tmp_path, kind):
+        # several blocks, the last one partial
+        grid = build_disc_grid(1 / 48)
+        assert grid.n_nodes > 2 * _CSV_BLOCK_ROWS and grid.n_nodes % _CSV_BLOCK_ROWS
+        n, rng = grid.n_nodes, np.random.default_rng(11)
+        values = {
+            "signed_zeros": rng.choice([0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 1e-7], n),
+            "constant": np.full(n, 0.1),
+            "all_distinct": rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n))
+                            * 10.0 ** rng.uniform(-300, 300, n),
+            "longest_spellings": rng.choice([-2.2250738585072014e-308,
+                                             -1.7976931348623157e+308, 2.0], n),
+            "subnormals": rng.choice([5e-324, -2.5e-310, 0.0, -0.0], n),
+        }[kind]
+        if kind == "all_distinct":
+            assert len(np.unique(values)) == n
+        cols = {"v": grid.field(values), "w": grid.field(values[::-1].copy())}
+        write_csv(tmp_path / "new.csv", grid, cols)
+        assert (tmp_path / "new.csv").read_bytes() == per_value_csv(grid, cols)
+
+
+def per_value_csv(grid, columns) -> bytes:
+    """The CSV export spelled value by value: rows by y, then x, each value in %.17g."""
+    rows = sorted(range(grid.n_nodes), key=lambda k: (grid.y[k], grid.x[k]))
+    values = [v[rows] for v in [grid.x, grid.y] + [f.data for f in columns.values()]]
+    text = "x,y," + ",".join(columns) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*values))
+    return text.encode()

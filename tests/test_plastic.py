@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitime.grid import ExclusionZone, boundary_samples, build_disc_grid, line_integral
+from bitime.grid import ExclusionZone, boundary_samples, build_disc_grid
 from bitime.plastic import (Family, PlasticState, boundary_condition_residual,
                             build_state, canonical_controls,
                             costate_system_residual, costates_star,
@@ -13,6 +13,7 @@ from bitime.plastic import (Family, PlasticState, boundary_condition_residual,
                             phi_star, phi_star_field, plastic_system,
                             rho_family, stress_from_polar)
 from bitime.systems import forward_residual
+from conftest import line_integral
 
 ALL_FAMILIES = [Family("quadratic", 1.0), Family("inv_x", 1.0),
                 Family("inv_y", 1.0), Family("constant", 1.0)]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bitime.grid import write_csv
 from bitime.suite import (DEFAULT_TOLERANCE_C, RunConfig, run_convergence,
                           run_verify, write_fields)
 
@@ -171,3 +172,25 @@ class TestWriteFields:
         stress = [p for p in paths if p.endswith("stress.csv")][0]
         xs = np.loadtxt(stress, delimiter=",", skiprows=1, usecols=0)
         assert np.all(np.abs(xs) >= 0.1 - 1e-12)
+
+    @pytest.mark.parametrize("perturb_q1", [0.0, 1e-3])
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_bytes_match_per_value_writer(self, tmp_path, monkeypatch, family, perturb_q1):
+        written = []
+
+        def record(path, grid, columns):
+            written.append((path, grid, columns))
+            write_csv(path, grid, columns)
+
+        monkeypatch.setattr("bitime.suite.write_csv", record)
+        paths = write_fields(RunConfig(h=1 / 32, family=family, perturb_q1=perturb_q1),
+                             str(tmp_path))
+        assert [w[0] for w in written] == paths and len(paths) == 3
+        for path, grid, columns in written:
+            # an independent writer: one value at a time, rows sorted by (y, x)
+            order = sorted(range(grid.n_nodes), key=lambda k: (grid.y[k], grid.x[k]))
+            data = [grid.x, grid.y] + [f.data for f in columns.values()]
+            lines = ["x,y," + ",".join(columns)]
+            lines += [",".join("%.17g" % float(v[k]) for v in data) for k in order]
+            with open(path, "rb") as fh:
+                assert fh.read() == ("\n".join(lines) + "\n").encode()
