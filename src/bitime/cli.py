@@ -129,8 +129,7 @@ def residuals(system_file, h, as_json):
     """Forward and integrability residual norms for a config-defined system."""
     from .expressions import fields_from_config, grid_from_config, system_from_config
     from .grid import banded_norms
-    from .integrability import cic_multi
-    from .systems import forward_residual, split_controls
+    from .integrability import forward_and_cic
 
     spec = _load_json(system_file)
     sys_def = system_from_config(spec)
@@ -138,8 +137,7 @@ def residuals(system_file, h, as_json):
 
     def residual_fields(band):
         states, controls = fields_from_config(spec, band)
-        fwd = forward_residual(sys_def, band, states, controls)
-        cic = cic_multi(split_controls(sys_def, band, states, controls))
+        fwd, cic = forward_and_cic(sys_def, band, states, controls)
         return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
                 **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
 

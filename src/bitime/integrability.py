@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import AngleField, ScalarField, partial
-from .systems import SplitSystem, cross_triple
+from .grid import AngleField, DiscGrid, ScalarField, partial
+from .systems import CrossTriple, ForwardPass, QuasiLinearSystem, SplitSystem, cross_triple
 
 __all__ = [
     "CicReport",
     "cic_single",
     "cic_multi",
+    "forward_and_cic",
     "plastic_cic",
 ]
 
@@ -40,6 +41,14 @@ def cic_single(p: ScalarField, q: ScalarField, r: ScalarField, x: ScalarField) -
     return left - right
 
 
+def _scalar_states(states) -> None:
+    if any(isinstance(x, AngleField) for x in states):
+        raise TypeError(
+            "cic_multi needs scalar state sheets; supply a single-valued "
+            "angle sheet on a branch-free zone"
+        )
+
+
 def cic_multi(split: SplitSystem, states=None) -> CicReport:
     """One CIC residual per state of a split system.
 
@@ -50,17 +59,26 @@ def cic_multi(split: SplitSystem, states=None) -> CicReport:
     """
     if states is None:
         states = split.states
-    residuals = []
-    for i in range(1, split.base.n + 1):
-        xf = states[i - 1]
-        if isinstance(xf, AngleField):
-            raise TypeError(
-                "cic_multi needs scalar state sheets; supply a single-valued "
-                "angle sheet on a branch-free zone"
-            )
-        t = cross_triple(split, i)
-        residuals.append(cic_single(t.p, t.q, t.r, xf))
-    return CicReport(residuals=tuple(residuals))
+    _scalar_states(states)
+    return CicReport(residuals=tuple(_triple_cic(cross_triple(split, i), states[i - 1])
+                                     for i in range(1, split.base.n + 1)))
+
+
+def forward_and_cic(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()
+                    ) -> tuple[tuple[ScalarField, ScalarField], CicReport]:
+    """`forward_residual` and `cic_multi(split_controls(...))` in one pass over the states.
+
+    The same fields bit for bit, from one evaluation of each A_i, grad x^i
+    and B (see `systems.ForwardPass`).
+    """
+    _scalar_states(states)
+    fwd = ForwardPass(sys, grid, states, controls)
+    residuals = tuple(map(_triple_cic, fwd.triples(), states))
+    return fwd.residual(), CicReport(residuals=residuals)
+
+
+def _triple_cic(t: CrossTriple, x: ScalarField) -> ScalarField:
+    return cic_single(t.p, t.q, t.r, x)
 
 
 def plastic_cic(rho: ScalarField, phi: AngleField, k: ScalarField,

@@ -42,7 +42,7 @@ from .plastic import (Family, boundary_condition_residual, build_state,
                       equilibrium_residual, plastic_cost,
                       plastic_multiplier_system, plastic_system,
                       stress_from_polar)
-from .systems import det2, forward_residual, state_value
+from .systems import ForwardPass, det2
 
 __all__ = [
     "RunConfig",
@@ -212,6 +212,20 @@ class Report:
         return "\n".join(lines)
 
 
+def _forward_and_det(grid: DiscGrid, states) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """(8.1), (8.2) and (6.R) from one forward pass of the plastic system.
+
+    R_i of the cross-triple is det2(A_i); (6.R) checks it against LAPACK's
+    LU determinant of each A_i the pass evaluates.
+    """
+    fwd = ForwardPass(plastic_system(), grid, states)
+    det_err = 0.0
+    for step in fwd:
+        det = np.linalg.det(np.moveaxis(step.a, (0, 1), (-2, -1)))
+        det_err = det_err + np.abs(det2(step.a) - det)
+    return (*fwd.residual(), ScalarField(grid, det_err))
+
+
 def _residual_fields(config: RunConfig, grid: DiscGrid):
     """All grid-based residual fields of the suite, keyed by condition name."""
     family = config.make_family()
@@ -225,20 +239,8 @@ def _residual_fields(config: RunConfig, grid: DiscGrid):
                  + 4.0 * stress.sxy * stress.sxy - 4.0 * state.k * state.k)
     out["(7.3)"] = yield_res
 
-    sys = plastic_system()
     states = state.as_list()
-    f1, f2 = forward_residual(sys, grid, states)
-    out["(8.1)"], out["(8.2)"] = f1, f2
-
-    # R_i of the cross-triple is det2(A_i); check it against LAPACK's LU
-    # determinant
-    sv = [state_value(f) for f in states]
-    det_err = 0.0
-    for i in (1, 2, 3):
-        a = sys.matrix(i, grid, sv, [])
-        det = np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))
-        det_err = det_err + np.abs(det2(a) - det)
-    out["(6.R)"] = ScalarField(grid, det_err)
+    out["(8.1)"], out["(8.2)"], out["(6.R)"] = _forward_and_det(grid, states)
 
     u, v, mu, nu = canonical_controls(grid, family)
     c1, c2, c3 = plastic_cic(state.rho, state.phi, state.k, u, v, mu, nu)

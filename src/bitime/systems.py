@@ -9,6 +9,13 @@ sum over the state index; the alpha/beta sums are explicit loops.
 Coefficients are evaluated on the node coordinates (`DiscGrid.on_mask`)
 and stored like fields, one value per node, so an entry may be singular
 off the mask.
+
+The residuals are taken in one walk over the states (`ForwardPass`): B
+once, then per state A_i and grad x^i once, one matrix alive at a time.
+Each step adds A_i grad x^i to the forward rows; `ForwardPass.triples`
+also takes from it v_i, the running B - v_1 - ... - v_{n-1} and the
+state's cross-triple.  `forward_residual`, `split_controls` and
+`cross_triple` share those formulas (`StateStep`, `CrossTriple.of`).
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ __all__ = [
     "QuasiLinearSystem",
     "SplitSystem",
     "CrossTriple",
+    "StateStep",
+    "ForwardPass",
     "split_controls",
     "cross_triple",
     "forward_residual",
@@ -121,6 +130,89 @@ class CrossTriple:
     q: ScalarField
     r: ScalarField
 
+    @classmethod
+    def of(cls, grid: DiscGrid, a: np.ndarray, w: np.ndarray) -> "CrossTriple":
+        """The triple of A_i and the right-hand side w = (w1, w2) of its own equation."""
+        p = a[0, 1] * w[1] - a[1, 1] * w[0]
+        q = a[1, 0] * w[0] - a[0, 0] * w[1]
+        return cls(ScalarField(grid, p), ScalarField(grid, q), ScalarField(grid, det2(a)))
+
+
+@dataclass(frozen=True)
+class StateStep:
+    """State i's share of one pass over a system: A_i and its products with grad x^i.
+
+    `ax` is A_i's first column times dx^i/dt^1 and `ay` its second column
+    times dx^i/dt^2, one row per equation, each product taken once.
+    """
+
+    a: np.ndarray   # A_i, shape (2, 2, n_nodes)
+    ax: np.ndarray  # shape (2, n_nodes)
+    ay: np.ndarray
+
+    @property
+    def v(self) -> np.ndarray:
+        """A_i grad x^i, shape (2, n_nodes): the canonical control of state i."""
+        return self.ax + self.ay
+
+
+def _state_step(sys: QuasiLinearSystem, grid: DiscGrid, i: int, states, sv, cv) -> StateStep:
+    a = sys.matrix(i, grid, sv, cv)
+    f = states[i - 1]
+    return StateStep(a, a[:, 0] * f.partial(1).data, a[:, 1] * f.partial(2).data)
+
+
+class ForwardPass:
+    """One walk over the states of a system: B once, then each A_i and grad x^i once.
+
+    `rows` starts at -B and each step adds A_i grad x^i to it, so after the
+    last state rows^beta = sum_i sum_alpha A_i^{beta alpha} dx^i/dt^alpha - B^beta,
+    summed as ((-B + A_1 col 1 dx^1/dt^1) + A_1 col 2 dx^1/dt^2) + ...
+    A pass walks once, through either iteration (each StateStep) or
+    `triples`.  It keeps no step once it has handed it on, so one matrix
+    is alive at a time.
+    """
+
+    def __init__(self, sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()):
+        self.sys, self.grid, self.states = sys, grid, states
+        self._sv = [state_value(f) for f in states]
+        self._cv = [f.data for f in controls]
+        self.w = sys.rhs(grid, self._sv, self._cv)
+        self.rows = -self.w
+        self._done = 0
+
+    def _step(self) -> StateStep:
+        self._done += 1
+        step = _state_step(self.sys, self.grid, self._done, self.states, self._sv, self._cv)
+        self.rows = self.rows + step.ax + step.ay
+        return step
+
+    def __iter__(self):
+        while self._done < self.sys.n:
+            yield self._step()
+
+    def triples(self):
+        """Each state's cross-triple in turn, from the same steps.
+
+        The right-hand side is v_i = A_i grad x^i for i < n and, for i = n,
+        `w` = B - v_1 - ... - v_{n-1}, subtracted in that order: the triples
+        `cross_triple` gives on `split_controls` of the same states.
+        """
+        while self._done < self.sys.n:
+            yield self._triple()
+
+    def _triple(self) -> CrossTriple:
+        step = self._step()
+        if self._done == self.sys.n:
+            return CrossTriple.of(self.grid, step.a, self.w)
+        v = step.v
+        self.w = self.w - v
+        return CrossTriple.of(self.grid, step.a, v)
+
+    def residual(self) -> tuple[ScalarField, ScalarField]:
+        """The two rows as fields (raw: scaling a row of (A, B) scales its residual)."""
+        return ScalarField(self.grid, self.rows[0]), ScalarField(self.grid, self.rows[1])
+
 
 def split_controls(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) -> SplitSystem:
     """Manufacture canonical controls v_i = A_i grad x^i node-wise (no sum over i)."""
@@ -130,12 +222,8 @@ def split_controls(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) 
     cv = [f.data for f in controls]
     v = []
     for i in range(1, sys.n):
-        a = sys.matrix(i, grid, sv, cv)
-        gx = states[i - 1].partial(1).data
-        gy = states[i - 1].partial(2).data
-        v1 = a[0, 0] * gx + a[0, 1] * gy
-        v2 = a[1, 0] * gx + a[1, 1] * gy
-        v.append((ScalarField(grid, v1), ScalarField(grid, v2)))
+        vi = _state_step(sys, grid, i, states, sv, cv).v
+        v.append((ScalarField(grid, vi[0]), ScalarField(grid, vi[1])))
     return SplitSystem(base=sys, grid=grid, states=tuple(states),
                        controls=tuple(controls), v=tuple(v))
 
@@ -150,32 +238,18 @@ def cross_triple(split: SplitSystem, i: int) -> CrossTriple:
     cv = split.control_values()
     a = sys.matrix(i, grid, sv, cv)
     if i < sys.n:
-        w1 = split.v[i - 1][0].data
-        w2 = split.v[i - 1][1].data
+        w = (split.v[i - 1][0].data, split.v[i - 1][1].data)
     else:
-        w1, w2 = sys.rhs(grid, sv, cv)
+        w = sys.rhs(grid, sv, cv)
         for vj in split.v:
-            w1 -= vj[0].data
-            w2 -= vj[1].data
-    p = a[0, 1] * w2 - a[1, 1] * w1
-    q = a[1, 0] * w1 - a[0, 0] * w2
-    return CrossTriple(ScalarField(grid, p), ScalarField(grid, q), ScalarField(grid, det2(a)))
+            w[0] -= vj[0].data
+            w[1] -= vj[1].data
+    return CrossTriple.of(grid, a, w)
 
 
 def forward_residual(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) -> tuple[ScalarField, ScalarField]:
-    """Residual of the unsplit constraint, one field per equation row.
-
-    residual^beta = sum_i sum_alpha A_i^{beta alpha} dx^i/dt^alpha - B^beta.
-    Raw (unnormalised): scaling a row of (A, B) scales its residual.
-    """
-    sv = [state_value(f) for f in states]
-    cv = [f.data for f in controls]
-    b = sys.rhs(grid, sv, cv)
-    res = [-b[0], -b[1]]
-    for i in range(1, sys.n + 1):
-        a = sys.matrix(i, grid, sv, cv)
-        gx = states[i - 1].partial(1).data
-        gy = states[i - 1].partial(2).data
-        res[0] = res[0] + a[0, 0] * gx + a[0, 1] * gy
-        res[1] = res[1] + a[1, 0] * gx + a[1, 1] * gy
-    return ScalarField(grid, res[0]), ScalarField(grid, res[1])
+    """Residual of the unsplit constraint, one field per equation row (see `ForwardPass`)."""
+    fwd = ForwardPass(sys, grid, states, controls)
+    for _ in fwd:
+        pass
+    return fwd.residual()

@@ -44,3 +44,18 @@ def line_integral(grid, sampler, path, step=None) -> float:
         vx, vy = sampler(xm, ym)
         total += float(((x1 - x0) * np.asarray(vx) + (y1 - y0) * np.asarray(vy)).sum()) / n
     return total
+
+
+def counted(sys, calls):
+    """`sys` with each A_i and B evaluator adding its calls to `calls["A_i"]`, `calls["B"]`."""
+    from bitime.systems import QuasiLinearSystem
+
+    def wrap(fn, key):
+        def evaluate(*args):
+            calls[key] += 1
+            return fn(*args)
+        return evaluate
+
+    return QuasiLinearSystem(n=sys.n, n_controls=sys.n_controls,
+                             a=tuple(wrap(f, f"A_{i}") for i, f in enumerate(sys.a, 1)),
+                             b=wrap(sys.b, "B"))

@@ -177,6 +177,22 @@ class TestResiduals:
         for name, value in want.items():
             assert abs(got[name] - value) <= 1e-10 * max(1.0, value), name
 
+    def test_one_band_evaluates_each_coefficient_once(self, runner, tmp_path, monkeypatch):
+        # at h = 1/64 the grid is one band: each A_i and B is evaluated once
+        from collections import Counter
+
+        from bitime import expressions
+        from conftest import counted
+
+        calls = Counter()
+        build = expressions.system_from_config
+        monkeypatch.setattr(expressions, "system_from_config",
+                            lambda spec: counted(build(spec), calls))
+        spec = write_json(tmp_path / "p.json", PLASTIC_SYSTEM)
+        result = runner.invoke(main, ["residuals", spec])
+        assert result.exit_code == 0, result.output
+        assert calls == {"A_1": 1, "A_2": 1, "A_3": 1, "B": 1}
+
     @pytest.mark.parametrize("h", BAD_H)
     def test_unparsable_h(self, runner, tmp_path, h):
         spec = write_json(tmp_path / "s.json", PLASTIC_SYSTEM)

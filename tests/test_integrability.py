@@ -1,13 +1,23 @@
+import os
+import random
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitime.grid import AngleField, ExclusionZone, build_disc_grid
-from bitime.integrability import cic_multi, cic_single, plastic_cic
+from bitime.expressions import fields_from_config, grid_from_config, system_from_config
+from bitime.grid import AngleField, ExclusionZone, banded_norms, build_disc_grid
+from bitime.integrability import cic_multi, cic_single, forward_and_cic, plastic_cic
 from bitime.plastic import (Family, k_family, phi_star_field, plastic_system,
                             rho_family)
-from bitime.systems import QuasiLinearSystem, cross_triple, split_controls
+from bitime.systems import (QuasiLinearSystem, cross_triple, forward_residual,
+                            split_controls)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402
 
 IDENTITY = lambda x, y, states, controls: ((1.0, 0.0), (0.0, 1.0))
 ZERO_B = lambda x, y, states, controls: (0.0, 0.0)
@@ -84,6 +94,87 @@ class TestCicMulti:
         split = split_controls(sys, grid32, [grid32.field(0.0)])
         with pytest.raises(TypeError, match="scalar state sheets"):
             cic_multi(split, states=[angle_zero(grid32)])
+
+
+def _with_control(spec):
+    """`spec` with a control field u1 entering A_1 and B."""
+    a = [[row[:] for row in mat] for mat in spec["A"]]
+    a[0][0][0] = f"({a[0][0][0]})*(1 + u1*u1)"
+    return {**spec, "controls": ["u1"], "control_fields": {"u1": "0.5 + x*y - 0.3*y*y"},
+            "A": a, "B": [f"{spec['B'][0]} + u1", f"{spec['B'][1]} - 2*u1*x"]}
+
+
+def _row_by_row(sys_def, grid, states, controls):
+    """Reference: forward rows, split and cross-triples one equation row at a time."""
+    sv = [f.data for f in states]
+    cv = [f.data for f in controls]
+    grads = [(f.partial(1).data, f.partial(2).data) for f in states]
+    b = sys_def.rhs(grid, sv, cv)
+    res1, res2 = -b[0], -b[1]
+    w1, w2 = b[0], b[1]
+    out = {}
+    for i in range(1, sys_def.n + 1):
+        a = sys_def.matrix(i, grid, sv, cv)
+        gx, gy = grads[i - 1]
+        res1 = res1 + a[0, 0] * gx + a[0, 1] * gy
+        res2 = res2 + a[1, 0] * gx + a[1, 1] * gy
+        if i < sys_def.n:
+            v1 = a[0, 0] * gx + a[0, 1] * gy
+            v2 = a[1, 0] * gx + a[1, 1] * gy
+            w1, w2 = w1 - v1, w2 - v2
+        else:
+            v1, v2 = w1, w2
+        p = grid.field(a[0, 1] * v2 - a[1, 1] * v1)
+        q = grid.field(a[1, 0] * v1 - a[0, 0] * v2)
+        r = grid.field(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        out[f"cic.{i}"] = cic_single(p, q, r, states[i - 1])
+    return {"forward.1": grid.field(res1), "forward.2": grid.field(res2), **out}
+
+
+# The benchmark's manufactured systems: n = 2..6 over every zone kind, and
+# one with a control field.
+WALK_CASES = [(2, "origin", False), (3, "abs_x", False), (4, "half_x", False),
+              (5, "half_y", False), (6, "abs_x", False), (3, "origin", True)]
+
+
+class TestForwardAndCic:
+    @pytest.mark.parametrize("n, zone, control", WALK_CASES)
+    def test_bit_identical_to_composed_pipeline(self, n, zone, control):
+        # the one walk over the states gives the very fields (and so norms,
+        # whole-grid and banded) of forward_residual + cic_multi(split_controls),
+        # and of the formulas written out row by row
+        spec = workloads.manufactured_system(n, random.Random(1201 + n), zone, 0.15, 1 / 64)
+        if control:
+            spec = _with_control(spec)
+        sys_def = system_from_config(spec)
+        grid = grid_from_config(spec)
+
+        def composed(band):
+            states, controls = fields_from_config(spec, band)
+            fwd = forward_residual(sys_def, band, states, controls)
+            cic = cic_multi(split_controls(sys_def, band, states, controls))
+            return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
+                    **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+
+        def walked(band):
+            fwd, cic = forward_and_cic(sys_def, band, *fields_from_config(spec, band))
+            return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
+                    **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+
+        got = walked(grid)
+        assert len(got) == n + 2
+        for want in (composed(grid), _row_by_row(sys_def, grid, *fields_from_config(spec, grid))):
+            assert list(got) == list(want)
+            assert {k: f.data.tobytes() for k, f in got.items()} == {
+                k: f.data.tobytes() for k, f in want.items()}
+            assert {k: (f.max_norm(), f.l2_norm()) for k, f in got.items()} == {
+                k: (f.max_norm(), f.l2_norm()) for k, f in want.items()}
+        assert banded_norms(grid, walked, 1500) == banded_norms(grid, composed, 1500)
+
+    def test_angle_state_rejected(self, grid32):
+        sys_def = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,), b=ZERO_B)
+        with pytest.raises(TypeError, match="scalar state sheets"):
+            forward_and_cic(sys_def, grid32, [angle_zero(grid32)])
 
 
 class TestPlasticCic:

@@ -95,9 +95,10 @@ class TestRunVerify:
         assert "PASS" in text
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x"])
-    def test_6r_matches_full_lattice_cross_triples(self, family):
-        # (6.R) is scored on masked nodes only; its norms equal those of the
-        # full-lattice assembly through cross_triple(...).r
+    def test_6r_matches_cross_triple_determinants(self, family):
+        # (6.R) takes det2 and the LU determinant of each A_i in the forward
+        # pass; its norms equal those of R_i = cross_triple(...).r against
+        # the LU determinant of A_i evaluated apart
         from bitime.plastic import build_state, plastic_system
         from bitime.systems import cross_triple, split_controls
 
@@ -112,6 +113,18 @@ class TestRunVerify:
             want = want + grid.field(np.abs(cross_triple(split, i).r.data - det))
         got = {c.condition: c for c in run_verify(config).conditions}["(6.R)"]
         assert (got.max_norm, got.l2_norm) == (want.max_norm(), want.l2_norm())
+
+    def test_residual_fields_evaluate_each_matrix_once(self, monkeypatch):
+        from collections import Counter
+
+        from bitime import suite
+        from bitime.plastic import plastic_system
+        from conftest import counted
+
+        calls = Counter()
+        monkeypatch.setattr(suite, "plastic_system", lambda: counted(plastic_system(), calls))
+        suite._residual_fields(FAST, FAST.make_grid())
+        assert calls == {"A_1": 1, "A_2": 1, "A_3": 1, "B": 1}
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
     def test_banded_norms_match_whole_grid(self, family):
