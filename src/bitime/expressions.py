@@ -204,8 +204,7 @@ def system_from_config(cfg: dict) -> QuasiLinearSystem:
         args = [x, y, *state_values, *control_values]
         return (b_fns[0](*args), b_fns[1](*args))
 
-    return QuasiLinearSystem(n=n, n_controls=len(controls),
-                             a=tuple(make_a(i) for i in range(n)), b=b)
+    return QuasiLinearSystem(a=tuple(make_a(i) for i in range(n)), b=b)
 
 
 def fields_from_config(cfg: dict, grid: DiscGrid):

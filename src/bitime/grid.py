@@ -138,62 +138,59 @@ class DiscGrid:
         self.shape = mask.shape
         self.n_nodes = int(np.count_nonzero(mask))
 
-    # Node coordinates and stencil taps are built on first use: a grid that
-    # is only split into bands (see `band`) never needs its own.
+    # Node coordinates, stencil taps and the interior mask are built on first
+    # use: a grid that is only split into bands (see `band`) never needs its own.
     @cached_property
-    def _node_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        ii, jj = np.nonzero(self.mask)
-        x, y = self.coords[ii], self.coords[jj]
-        # read-only, since closed forms receive them as is
-        x.flags.writeable = y.flags.writeable = False
-        return x, y
+    def _nodes(self):
+        """(x, y, x taps, edge taps, interior) from one lookup of the node neighbours.
 
-    x = property(lambda self: self._node_xy[0])
-    y = property(lambda self: self._node_xy[1])
-
-    @cached_property
-    def _taps(self):
-        """(x taps, edge taps): the stencil taps of `partial`.
-
-        A node is centered on an axis if both neighbours are nodes, else
-        forward if the two above are, else backward (pruning leaves no other
-        case); the one-sided ones are kept with their two taps inward,
-        ((fw, fw+1, fw+2), (bw, bw-1, bw-2)) in axis steps, one pair per
-        axis.  Centered x taps are kept for every node, a one-sided node
-        tapping itself twice (a zero its edge stencil overwrites); y needs
-        none, its neighbours being the adjacent nodes.
+        x and y are the node coordinates.  A node is centered on an axis if
+        both neighbours are nodes, else forward if the two above are, else
+        backward (pruning leaves no other case); the one-sided ones are kept
+        with their two taps inward, ((fw, fw+1, fw+2), (bw, bw-1, bw-2)) in
+        axis steps, one pair per axis: the stencil taps of `partial`.
+        Centered x taps are kept for every node, a one-sided node tapping
+        itself twice (a zero its edge stencil overwrites); y needs none, its
+        neighbours being the adjacent nodes.  `interior` is `interior_mask`.
         """
         ii, jj = np.nonzero(self.mask)
+        x, y = self.coords[ii], self.coords[jj]
         node = np.full(self.shape, -1, dtype=np.intp)  # lattice point -> node, or -1
         node[self.mask] = own = np.arange(self.n_nodes)
+        interior = np.ones(self.n_nodes, dtype=bool)
         edge_taps = []
         for ax in (0, 1):
             up1, dn1, up2, dn2 = (node[ii + d, jj] if ax == 0 else node[ii, jj + d]
                                   for d in (1, -1, 2, -2))
             centered = (up1 >= 0) & (dn1 >= 0)
+            interior &= centered & (up2 >= 0) & (dn2 >= 0)
             forward = ~centered & (up1 >= 0) & (up2 >= 0)
             fw, bw = np.flatnonzero(forward), np.flatnonzero(~centered & ~forward)
             edge_taps.append(((fw, up1[fw], up2[fw]), (bw, dn1[bw], dn2[bw])))
             if ax == 0:
                 x_taps = (np.where(centered, up1, own), np.where(centered, dn1, own))
-        return x_taps, edge_taps
+        # read-only, since closed forms and callers receive them as is
+        x.flags.writeable = y.flags.writeable = interior.flags.writeable = False
+        return x, y, x_taps, edge_taps, interior
+
+    x = property(lambda self: self._nodes[0])
+    y = property(lambda self: self._nodes[1])
 
     # the lattice coordinates, as read-only views of shape `shape`
     X = property(lambda self: np.broadcast_to(self.coords[:, None], self.shape))
     Y = property(lambda self: np.broadcast_to(self.coords[None, :], self.shape))
 
     def interior_mask(self, radius: int = 2) -> np.ndarray:
-        """Per node: True if every lattice point within `radius` axis steps is a node.
+        """Per node: True if every lattice point within two axis steps is a node.
 
         On such nodes every difference involved in residual assembly is a
         centered stencil; convergence ratios are measured here because the
-        one-sided edge set jitters as h changes.
+        one-sided edge set jitters as h changes.  Two steps, the reach of
+        the stencils, is the only radius.
         """
-        ok = self.mask.copy()
-        for ax in (0, 1):
-            for k in range(1, radius + 1):
-                ok &= np.roll(self.mask, k, ax) & np.roll(self.mask, -k, ax)
-        return ok[self.mask]
+        if radius != 2:
+            raise ValueError(f"interior_mask takes radius 2 only, got {radius!r}")
+        return self._nodes[4]
 
     def band(self, lo: int, hi: int) -> tuple["DiscGrid", slice]:
         """The grid on the lattice columns that hold nodes lo..hi-1, plus halo.
@@ -386,14 +383,14 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     two_h = 2.0 * g.h
     out = np.empty(g.n_nodes)
     if axis == 1:
-        up, dn = g._taps[0]
+        up, dn = g._nodes[2]
         np.subtract(v[up], v[dn], out=out)
         out /= two_h
     else:
         inner = out[1:-1]
         np.subtract(v[2:], v[:-2], out=inner)
         inner /= two_h
-    (fw, fw1, fw2), (bw, bw1, bw2) = g._taps[1][axis - 1]
+    (fw, fw1, fw2), (bw, bw1, bw2) = g._nodes[3][axis - 1]
     out[fw] = (-3.0 * v[fw] + 4.0 * v[fw1] - v[fw2]) / two_h
     out[bw] = (3.0 * v[bw] - 4.0 * v[bw1] + v[bw2]) / two_h
     return ScalarField(g, out)

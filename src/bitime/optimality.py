@@ -56,23 +56,18 @@ class CostBundle:
 
 @dataclass(frozen=True)
 class MultiplierSystem:
-    """Multiplier-form right-hand sides f_i(x, y, states, controls) -> 2-vector."""
+    """Multiplier-form right-hand sides f_i(x, y, states, controls) -> 2-vector, one per state."""
 
-    n: int
     n_controls: int
     rhs: tuple[Callable, ...]
-
-    def rhs_value(self, i: int, x, y, states, controls) -> np.ndarray:
-        return nest_array(self.rhs[i - 1](x, y, states, controls), np.shape(x), 1)
 
 
 def hamiltonian(msys: MultiplierSystem, cost: CostBundle, x, y,
                 states, controls, costates) -> np.ndarray:
     """H = X + sum_i p^i_beta f_i^beta at a point or over arrays."""
     h = cost.running_value(x, y, states, controls)
-    for i in range(1, msys.n + 1):
-        f = msys.rhs_value(i, x, y, states, controls)
-        p1, p2 = costates[i - 1]
+    for f_i, (p1, p2) in zip(msys.rhs, costates, strict=True):
+        f = nest_array(f_i(x, y, states, controls), np.shape(x), 1)
         h = h + p1 * f[0] + p2 * f[1]
     return h
 

@@ -184,10 +184,6 @@ class PlasticState:
         if (self.k.data <= 0).any():
             raise ValueError("degenerate Mohr radius")
 
-    @property
-    def grid(self) -> DiscGrid:
-        return self.rho.grid
-
     def as_list(self):
         return [self.rho, self.k, self.phi]
 
@@ -243,7 +239,7 @@ def plastic_system() -> QuasiLinearSystem:
     def b(x, y, states, controls):
         return (0.0, 0.0)
 
-    return QuasiLinearSystem(n=3, n_controls=0, a=(a1, a2, a3), b=b)
+    return QuasiLinearSystem(a=(a1, a2, a3), b=b)
 
 
 def plastic_multiplier_system() -> MultiplierSystem:
@@ -269,7 +265,7 @@ def plastic_multiplier_system() -> MultiplierSystem:
         c, s = states[2]
         return (-(u + mu) * s - (v + nu) * c, -(u + mu) * c + (v + nu) * s)
 
-    return MultiplierSystem(n=3, n_controls=4, rhs=(f1, f2, f3))
+    return MultiplierSystem(n_controls=4, rhs=(f1, f2, f3))
 
 
 def plastic_cost() -> CostBundle:

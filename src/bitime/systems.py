@@ -1,26 +1,27 @@
 """Quasi-linear plane PDE systems A_i grad x^i = B and their gradient split.
 
-A system couples n scalar sheets x^i(t^1, t^2) through 2x2 coefficient
-matrices A_i(t, x, u) and a right-hand side B(t, x, u).  Splitting the
-system assigns each of the first n-1 gradient equations its own canonical
-control field v_i = A_i grad x^i, leaving the last equation to absorb
-B - sum(v_i).  Per-state quantities (the split, the cross-triples) never
-sum over the state index; the alpha/beta sums are explicit loops.
-Coefficients are evaluated on the node coordinates (`DiscGrid.on_mask`)
-and stored like fields, one value per node, so an entry may be singular
-off the mask.
+A system `QuasiLinearSystem(a, b)` couples n = len(a) scalar sheets
+x^i(t^1, t^2) through 2x2 coefficient matrices A_i(t, x, u) and a
+right-hand side B(t, x, u).  Splitting the system assigns each of the
+first n-1 gradient equations its own canonical control field
+v_i = A_i grad x^i, leaving the last equation to absorb B - sum(v_i).
+Per-state quantities (the split, the cross-triples) never sum over the
+state index; the alpha/beta sums are explicit loops.  Coefficients are
+evaluated on the node coordinates (`DiscGrid.on_mask`) and stored like
+fields, one value per node, so an entry may be singular off the mask.
 
-The residuals are taken in one walk over the states (`ForwardPass`): B
-once, then per state A_i and grad x^i once, one matrix alive at a time.
-Each step adds A_i grad x^i to the forward rows; `ForwardPass.triples`
-also takes from it v_i, the running B - v_1 - ... - v_{n-1} and the
-state's cross-triple.  `forward_residual`, `split_controls` and
-`cross_triple` share those formulas (`StateStep`, `CrossTriple.of`).
+The residuals are taken in one walk over the states (`ForwardPass`), which
+checks that it is handed n states: B once, then per state A_i and grad x^i
+once.  Each step adds A_i grad x^i to the forward rows; `ForwardPass.triples`
+also takes from it v_i, the running B - v_1 - ... - v_{n-1} and the state's
+cross-triple.  `forward_residual` and `split_controls` are such walks;
+`cross_triple` evaluates one state on its own, with the formula `CrossTriple.of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,16 +67,14 @@ def det2(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuasiLinearSystem:
-    """n coefficient matrices plus right-hand side; evaluators are stateless."""
+    """Coefficient matrices A_1..A_n, one per state, and B; evaluators are stateless."""
 
-    n: int
-    n_controls: int
     a: tuple[MatrixEval, ...]
     b: RhsEval
 
-    def __post_init__(self):
-        if len(self.a) != self.n:
-            raise ValueError("need one coefficient evaluator per state")
+    @property
+    def n(self) -> int:
+        return len(self.a)
 
     def matrix(self, i: int, grid: DiscGrid, state_values, control_values) -> np.ndarray:
         """A_i, shape (2, 2, grid.n_nodes).  i is 1-based."""
@@ -118,9 +117,6 @@ class SplitSystem:
     def state_values(self):
         return [state_value(f) for f in self.states]
 
-    def control_values(self):
-        return [f.data for f in self.controls]
-
 
 @dataclass(frozen=True)
 class CrossTriple:
@@ -156,12 +152,6 @@ class StateStep:
         return self.ax + self.ay
 
 
-def _state_step(sys: QuasiLinearSystem, grid: DiscGrid, i: int, states, sv, cv) -> StateStep:
-    a = sys.matrix(i, grid, sv, cv)
-    f = states[i - 1]
-    return StateStep(a, a[:, 0] * f.partial(1).data, a[:, 1] * f.partial(2).data)
-
-
 class ForwardPass:
     """One walk over the states of a system: B once, then each A_i and grad x^i once.
 
@@ -169,11 +159,14 @@ class ForwardPass:
     last state rows^beta = sum_i sum_alpha A_i^{beta alpha} dx^i/dt^alpha - B^beta,
     summed as ((-B + A_1 col 1 dx^1/dt^1) + A_1 col 2 dx^1/dt^2) + ...
     A pass walks once, through either iteration (each StateStep) or
-    `triples`.  It keeps no step once it has handed it on, so one matrix
-    is alive at a time.
+    `triples`.  It keeps no step once it has handed it on, so while the
+    caller drops each step before asking for the next (`triples` does),
+    one matrix is alive at a time.
     """
 
     def __init__(self, sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()):
+        if len(states) != sys.n:
+            raise ValueError("state count does not match the system")
         self.sys, self.grid, self.states = sys, grid, states
         self._sv = [state_value(f) for f in states]
         self._cv = [f.data for f in controls]
@@ -183,7 +176,9 @@ class ForwardPass:
 
     def _step(self) -> StateStep:
         self._done += 1
-        step = _state_step(self.sys, self.grid, self._done, self.states, self._sv, self._cv)
+        a = self.sys.matrix(self._done, self.grid, self._sv, self._cv)
+        f = self.states[self._done - 1]
+        step = StateStep(a, a[:, 0] * f.partial(1).data, a[:, 1] * f.partial(2).data)
         self.rows = self.rows + step.ax + step.ay
         return step
 
@@ -215,17 +210,11 @@ class ForwardPass:
 
 
 def split_controls(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) -> SplitSystem:
-    """Manufacture canonical controls v_i = A_i grad x^i node-wise (no sum over i)."""
-    if len(states) != sys.n:
-        raise ValueError("state count does not match the system")
-    sv = [state_value(f) for f in states]
-    cv = [f.data for f in controls]
-    v = []
-    for i in range(1, sys.n):
-        vi = _state_step(sys, grid, i, states, sv, cv).v
-        v.append((ScalarField(grid, vi[0]), ScalarField(grid, vi[1])))
+    """Manufacture canonical controls v_i = A_i grad x^i node-wise: n-1 steps of a walk."""
+    steps = islice(ForwardPass(sys, grid, states, controls), sys.n - 1)
+    v = tuple(tuple(ScalarField(grid, row) for row in step.v) for step in steps)
     return SplitSystem(base=sys, grid=grid, states=tuple(states),
-                       controls=tuple(controls), v=tuple(v))
+                       controls=tuple(controls), v=v)
 
 
 def cross_triple(split: SplitSystem, i: int) -> CrossTriple:
@@ -235,7 +224,7 @@ def cross_triple(split: SplitSystem, i: int) -> CrossTriple:
         raise ValueError(f"state index {i} out of range 1..{sys.n}")
     grid = split.grid
     sv = split.state_values()
-    cv = split.control_values()
+    cv = [f.data for f in split.controls]
     a = sys.matrix(i, grid, sv, cv)
     if i < sys.n:
         w = (split.v[i - 1][0].data, split.v[i - 1][1].data)

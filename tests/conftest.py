@@ -56,6 +56,5 @@ def counted(sys, calls):
             return fn(*args)
         return evaluate
 
-    return QuasiLinearSystem(n=sys.n, n_controls=sys.n_controls,
-                             a=tuple(wrap(f, f"A_{i}") for i, f in enumerate(sys.a, 1)),
+    return QuasiLinearSystem(a=tuple(wrap(f, f"A_{i}") for i, f in enumerate(sys.a, 1)),
                              b=wrap(sys.b, "B"))

@@ -276,6 +276,20 @@ class TestFields:
         inner = grid32.interior_mask(2)
         assert inner.shape == (grid32.n_nodes,)
         assert 0 < inner.sum() < grid32.n_nodes
+        for radius in (1, 3):
+            with pytest.raises(ValueError, match="radius 2 only"):
+                grid32.interior_mask(radius)
+
+    @pytest.mark.parametrize("zone", [None, "origin", "abs_x", "half_y"])
+    def test_interior_mask_matches_shifted_masks(self, zone):
+        # reference: the mask shifted by one and two steps along both axes
+        zones = [] if zone is None else [ExclusionZone(zone, 0.2)]
+        grid = build_disc_grid(1 / 32, zones=zones)
+        ok = grid.mask.copy()
+        for ax in (0, 1):
+            for k in (1, 2):
+                ok &= np.roll(grid.mask, k, ax) & np.roll(grid.mask, -k, ax)
+        assert np.array_equal(grid.interior_mask(2), ok[grid.mask])
 
 
 class TestBands:

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ class TestCicSingle:
 
 class TestCicMulti:
     def test_constant_everything_zero(self, grid32):
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
         split = split_controls(sys, grid32, [grid32.field(1.0), grid32.field(2.0)])
         rep = cic_multi(split)
         assert all(r.max_norm() <= 1e-12 for r in rep.residuals)
@@ -59,7 +60,7 @@ class TestCicMulti:
         a1 = lambda x, y, s, c: ((1.0 + x * x, x * y), (0.2 * y, 2.0 - x))
         a2 = lambda x, y, s, c: ((1.0, 0.5 * x), (0.0, 1.0 + y * y))
         b = lambda x, y, s, c: (x + y, x * y)
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(a1, a2), b=b)
+        sys = QuasiLinearSystem(a=(a1, a2), b=b)
         s1 = grid32.field(lambda x, y: x * x * y)
         s2 = grid32.field(lambda x, y: y + 0.3 * x)
         split = split_controls(sys, grid32, [s1, s2])
@@ -77,7 +78,7 @@ class TestCicMulti:
         a1 = lambda x, y, s, c: ((1.0 + s[1] * x, x * y), (0.2 * s[0], 2.0 - x))
         a2 = lambda x, y, s, c: ((1.0, 0.5 * s[0]), (np.sin(s[1]), 1.0 + y * y))
         b = lambda x, y, s, c: (x + y, x * y)
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(a1, a2), b=b)
+        sys = QuasiLinearSystem(a=(a1, a2), b=b)
         grid = build_disc_grid(1 / 64, zones=(ExclusionZone("abs_x", 0.2),))
 
         def residuals(g):
@@ -90,7 +91,7 @@ class TestCicMulti:
             i: (r.max_norm(), r.l2_norm()) for i, r in whole.items()}
 
     def test_angle_state_rejected(self, grid32):
-        sys = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY,), b=ZERO_B)
         split = split_controls(sys, grid32, [grid32.field(0.0)])
         with pytest.raises(TypeError, match="scalar state sheets"):
             cic_multi(split, states=[angle_zero(grid32)])
@@ -172,9 +173,29 @@ class TestForwardAndCic:
         assert banded_norms(grid, walked, 1500) == banded_norms(grid, composed, 1500)
 
     def test_angle_state_rejected(self, grid32):
-        sys_def = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,), b=ZERO_B)
+        sys_def = QuasiLinearSystem(a=(IDENTITY,), b=ZERO_B)
         with pytest.raises(TypeError, match="scalar state sheets"):
             forward_and_cic(sys_def, grid32, [angle_zero(grid32)])
+
+    def test_one_matrix_alive(self, monkeypatch):
+        # A_i is freed before A_{i+1} is evaluated: one matrix alive at a
+        # time bounds the peak memory of the residuals command
+        spec = workloads.manufactured_system(4, random.Random(7), "origin", 0.2, 1 / 32)
+        sys_def = system_from_config(spec)
+        grid = grid_from_config(spec)
+        states, controls = fields_from_config(spec, grid)
+        matrix = QuasiLinearSystem.matrix
+        refs, alive = [], []
+
+        def tracked(self, *args):
+            alive.append([ref() is not None for ref in refs])
+            a = matrix(self, *args)
+            refs.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(QuasiLinearSystem, "matrix", tracked)
+        forward_and_cic(sys_def, grid, states, controls)
+        assert alive == [[False] * i for i in range(4)]
 
 
 class TestPlasticCic:

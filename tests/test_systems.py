@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitime.grid import ExclusionZone, build_disc_grid
+from bitime.integrability import forward_and_cic
 from bitime.systems import (QuasiLinearSystem, cross_triple, forward_residual,
                             split_controls)
 
@@ -12,17 +13,12 @@ ZERO_B = lambda x, y, states, controls: (0.0, 0.0)
 
 
 def single_state_system(b=ZERO_B):
-    return QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,), b=b)
+    return QuasiLinearSystem(a=(IDENTITY,), b=b)
 
 
 class TestQuasiLinearSystem:
-    def test_matrix_count_checked(self):
-        with pytest.raises(ValueError):
-            QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY,), b=ZERO_B)
-
     def test_nonfinite_matrix_rejected(self, grid32):
         bad = QuasiLinearSystem(
-            n=1, n_controls=0,
             a=(lambda x, y, s, c: ((1.0 / (x - x), 0.0), (0.0, 1.0)),), b=ZERO_B)
         state = grid32.field(0.0)
         with pytest.raises(ValueError, match="not finite"):
@@ -34,7 +30,6 @@ class TestQuasiLinearSystem:
         # 1/w and 1/x are singular on x = 0, which half_x removes from the mask
         grid = build_disc_grid(1 / 32, zones=[ExclusionZone("half_x", 0.1)])
         sys = QuasiLinearSystem(
-            n=1, n_controls=0,
             a=(lambda x, y, s, c: ((1.0 / s[0], 0.0), (0.0, 1.0)),),
             b=lambda x, y, s, c: (1.0 / x, 0.0))
         w = grid.field(lambda x, y: x)
@@ -45,8 +40,7 @@ class TestQuasiLinearSystem:
         assert abs(b[0] * grid.x - 1.0).max() <= 1e-15
 
     def test_nonfinite_rhs_rejected(self, grid32):
-        bad = QuasiLinearSystem(n=1, n_controls=0, a=(IDENTITY,),
-                                b=lambda x, y, s, c: (1.0 / (x - x), 0.0))
+        bad = QuasiLinearSystem(a=(IDENTITY,), b=lambda x, y, s, c: (1.0 / (x - x), 0.0))
         with pytest.raises(ValueError, match="right-hand side B is not finite"):
             bad.rhs(grid32, [grid32.zeros().data], [])
 
@@ -54,7 +48,7 @@ class TestQuasiLinearSystem:
 class TestSplitControls:
     def test_identity_gradient(self, grid32):
         # A_1 = I: the canonical control is the plain state gradient
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
         rho = grid32.field(lambda x, y: x + 2 * y)
         other = grid32.field(0.0)
         split = split_controls(sys, grid32, [rho, other])
@@ -63,19 +57,26 @@ class TestSplitControls:
         assert abs(v2.data - 2.0).max() <= 1e-12
 
     def test_constant_states_zero_controls(self, grid32):
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
         split = split_controls(sys, grid32, [grid32.field(3.0), grid32.field(1.0)])
         assert split.v[0][0].max_norm() == 0.0
         assert split.v[0][1].max_norm() == 0.0
 
     def test_state_count_checked(self, grid32):
-        with pytest.raises(ValueError):
-            split_controls(single_state_system(), grid32, [])
+        # every walk over the states, handed one state too many or too few
+        state = grid32.field(lambda x, y: x * y)
+        for walk in (split_controls, forward_residual, forward_and_cic):
+            for n in (1, 2):
+                sys = QuasiLinearSystem(a=(IDENTITY,) * n, b=ZERO_B)
+                for count in (n - 1, n + 1):
+                    with pytest.raises(ValueError,
+                                       match="^state count does not match the system$"):
+                        walk(sys, grid32, [state] * count)
 
     def test_split_line_exact_by_construction(self, grid32):
         # v_i = A_i grad x^i makes Eq (5) line i hold at grid precision
         a2 = lambda x, y, s, c: ((x, 1.0 + y * y), (np.sin(x), 2.0))
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(a2, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(a2, IDENTITY), b=ZERO_B)
         s1 = grid32.field(lambda x, y: np.sin(x) * y)
         s2 = grid32.field(lambda x, y: x * y)
         split = split_controls(sys, grid32, [s1, s2])
@@ -88,7 +89,7 @@ class TestSplitControls:
 
 class TestCrossTriple:
     def test_identity_matrix(self, grid32):
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
         u = grid32.field(lambda x, y: x)
         split = split_controls(sys, grid32, [u, grid32.field(0.0)])
         t = cross_triple(split, 1)
@@ -100,7 +101,7 @@ class TestCrossTriple:
     def test_plastic_a2_at_phi_zero(self, grid32):
         # A_2 at phi = 0 is [[-1, 0], [0, 1]]; v = (mu, nu) -> (-mu, nu, -1)
         a2 = lambda x, y, s, c: ((-1.0, 0.0), (0.0, 1.0))
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(a2, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(a2, IDENTITY), b=ZERO_B)
         mu, nu = 0.7, -0.4
         state = grid32.field(lambda x, y: -mu * x + nu * y)
         split = split_controls(sys, grid32, [state, grid32.field(0.0)])
@@ -133,7 +134,7 @@ class TestCrossTriple:
     @settings(max_examples=20, deadline=None)
     def test_linear_in_v(self, grid32, c1, c2):
         # for fixed A_i the triple's P, Q are linear in the state (hence in v)
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
         s_a = grid32.field(lambda x, y: x * y)
         s_b = grid32.field(lambda x, y: np.sin(x))
         zero = grid32.field(0.0)
@@ -155,7 +156,7 @@ class TestForwardResidual:
         assert r2.max_norm() <= 1e-12
 
     def test_constant_states_zero_b(self, grid32):
-        sys = QuasiLinearSystem(n=2, n_controls=0, a=(IDENTITY, IDENTITY), b=ZERO_B)
+        sys = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
         r1, r2 = forward_residual(sys, grid32, [grid32.field(1.0), grid32.field(2.0)])
         assert r1.max_norm() == 0.0
         assert r2.max_norm() == 0.0
@@ -166,7 +167,6 @@ class TestForwardResidual:
         state = grid32.field(lambda x, y: x * x)
         base = single_state_system(b=lambda x, y, s, c: (1.0, 0.0))
         scaled = QuasiLinearSystem(
-            n=1, n_controls=0,
             a=(lambda x, y, s, c: ((lam, 0.0), (0.0, 1.0)),),
             b=lambda x, y, s, c: (lam, 0.0))
         r_base = forward_residual(base, grid32, [state])
