@@ -139,7 +139,7 @@ def residuals(system_file, h, as_json):
         states, controls = fields_from_config(spec, band)
         fwd, cic = forward_and_cic(sys_def, band, states, controls)
         return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
-                **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+                **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}.items()
 
     rows = [{"condition": name, "max_norm": max_norm, "l2_norm": l2_norm, "h": grid.h}
             for name, (max_norm, l2_norm) in banded_norms(grid, residual_fields).items()]

@@ -152,23 +152,30 @@ class DiscGrid:
         Centered x taps are kept for every node, a one-sided node tapping
         itself twice (a zero its edge stencil overwrites); y needs none, its
         neighbours being the adjacent nodes.  `interior` is `interior_mask`.
+
+        Neighbours are looked up in a flat lattice -> node map, where an axis
+        step is a fixed offset of the flat lattice index.  The map dies when
+        this returns, and the taps are the `intp` lookups themselves, which
+        `partial` gathers with as they are.
         """
-        ii, jj = np.nonzero(self.mask)
-        x, y = self.coords[ii], self.coords[jj]
-        node = np.full(self.shape, -1, dtype=np.intp)  # lattice point -> node, or -1
-        node[self.mask] = own = np.arange(self.n_nodes)
+        stride = self.shape[1]
+        flat = np.flatnonzero(self.mask)
+        x, y = self.coords[flat // stride], self.coords[flat % stride]
+        node = np.full(self.mask.size, -1, dtype=np.intp)  # lattice point -> node, or -1
+        node[flat] = np.arange(self.n_nodes)
         interior = np.ones(self.n_nodes, dtype=bool)
         edge_taps = []
-        for ax in (0, 1):
-            up1, dn1, up2, dn2 = (node[ii + d, jj] if ax == 0 else node[ii, jj + d]
-                                  for d in (1, -1, 2, -2))
+        for step in (stride, 1):  # one x step, then one y step
+            up1, dn1, up2, dn2 = (node[flat + d] for d in (step, -step, 2 * step, -2 * step))
             centered = (up1 >= 0) & (dn1 >= 0)
             interior &= centered & (up2 >= 0) & (dn2 >= 0)
             forward = ~centered & (up1 >= 0) & (up2 >= 0)
             fw, bw = np.flatnonzero(forward), np.flatnonzero(~centered & ~forward)
             edge_taps.append(((fw, up1[fw], up2[fw]), (bw, dn1[bw], dn2[bw])))
-            if ax == 0:
-                x_taps = (np.where(centered, up1, own), np.where(centered, dn1, own))
+            if step == stride:
+                one_sided = np.flatnonzero(~centered)
+                up1[one_sided] = dn1[one_sided] = one_sided
+                x_taps = (up1, dn1)
         # read-only, since closed forms and callers receive them as is
         x.flags.writeable = y.flags.writeable = interior.flags.writeable = False
         return x, y, x_taps, edge_taps, interior
@@ -432,13 +439,18 @@ def _pairwise_total(leaf_sums: dict[int, float], lo: int, n: int, size: int) -> 
             + _pairwise_total(leaf_sums, lo + left, right, size))
 
 
-def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], dict],
+def banded_norms(grid: DiscGrid,
+                 residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
                  max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
-    """{name: (max norm, l2 norm)} of the fields `residuals(band)` returns.
+    """{name: (max norm, l2 norm)} of the (name, field) pairs `residuals(band)` yields.
 
-    `residuals` maps a grid to {name: ScalarField} and must build fields of
+    `residuals` maps a grid to a stream of (name, ScalarField) pairs, the
+    same names in the same order on every grid, and must build fields of
     the kind `DiscGrid.band` keeps exact.  It runs on one band at a time,
-    whose cores hold at most `max_nodes` nodes each, so the memory a call
+    whose cores hold at most `max_nodes` nodes each.  Each pair is folded
+    into its name's max and sums as it arrives, and dropped before the next
+    is asked for: a stream that keeps no reference to a field it has
+    yielded has one condition field alive at a time, and the memory a call
     needs follows `max_nodes` rather than the grid's node count.  Both norms
     equal `ScalarField.max_norm` and `l2_norm` on the whole grid bit for
     bit: the sums of squares are taken over the ranges numpy's pairwise sum
@@ -449,16 +461,17 @@ def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], dict],
     leaf_sums: dict[str, dict[int, float]] = {}
 
     def take(cut):
-        """Norm data of the band whose core is the leaves `cut`; its fields die on return."""
+        """Fold in the stream of the band whose core is the leaves `cut`."""
         lo = cut[0][0]
         band, core = grid.band(lo, cut[-1][1])
-        for name, f in residuals(band).items():
+        for name, f in residuals(band):
             v = f.data[core]
             peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
             sums = leaf_sums.setdefault(name, {})
             for start, stop in cut:
                 w = v[start - lo:stop - lo]
                 sums[start] = float((w * w).sum())
+            del f, v, w  # the field dies before the stream computes the next one
 
     leaves = _sum_leaves(0, grid.n_nodes, size)
     while leaves:

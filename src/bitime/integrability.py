@@ -55,10 +55,13 @@ def cic_multi(split: SplitSystem, states=None) -> CicReport:
     States must be scalar sheets here: the condition multiplies the state
     value into the R-gradient terms, which has no branch-free angle analogue.
     Plastic verification goes through `plastic_cic` instead (or restricts to
-    a zone where a single-valued angle sheet exists).
+    a zone where a single-valued angle sheet exists).  `states`, which
+    replaces the split's own sheets, must hold one sheet per state.
     """
     if states is None:
         states = split.states
+    if len(states) != split.base.n:
+        raise ValueError("state count does not match the system")
     _scalar_states(states)
     return CicReport(residuals=tuple(_triple_cic(cross_triple(split, i), states[i - 1])
                                      for i in range(1, split.base.n + 1)))

@@ -73,16 +73,18 @@ def hamiltonian(msys: MultiplierSystem, cost: CostBundle, x, y,
 
 
 def stationarity_residual(msys: MultiplierSystem, cost: CostBundle, grid: DiscGrid,
-                          states, controls, costates: CostateBundle) -> list[ScalarField]:
-    """dH/du-bar^a = H(u + e_a) - H(u), one field per control (exact for affine H)."""
+                          states, controls, costates: CostateBundle):
+    """dH/du-bar^a = H(u + e_a) - H(u), one field per control (exact for affine H).
+
+    A generator: each field is computed when it is asked for, so a caller
+    that folds them in turn holds one at a time.
+    """
     sv = [state_value(f) for f in states]
     cv = [f.data for f in controls]
     pv = costates.values()
     x, y = grid.x, grid.y
     h0 = hamiltonian(msys, cost, x, y, sv, cv, pv)
-    out = []
     for a in range(msys.n_controls):
         shifted = list(cv)
         shifted[a] = cv[a] + 1.0
-        out.append(ScalarField(grid, hamiltonian(msys, cost, x, y, sv, shifted, pv) - h0))
-    return out
+        yield ScalarField(grid, hamiltonian(msys, cost, x, y, sv, shifted, pv) - h0)

@@ -216,56 +216,78 @@ def _forward_and_det(grid: DiscGrid, states) -> tuple[ScalarField, ScalarField, 
     """(8.1), (8.2) and (6.R) from one forward pass of the plastic system.
 
     R_i of the cross-triple is det2(A_i); (6.R) checks it against LAPACK's
-    LU determinant of each A_i the pass evaluates.
+    LU determinant of each A_i the pass evaluates.  Each step dies after
+    its (6.R) term, before the pass evaluates the next A_i.
     """
     fwd = ForwardPass(plastic_system(), grid, states)
     det_err = 0.0
     for step in fwd:
         det = np.linalg.det(np.moveaxis(step.a, (0, 1), (-2, -1)))
         det_err = det_err + np.abs(det2(step.a) - det)
+        del step, det
     return (*fwd.residual(), ScalarField(grid, det_err))
 
 
+def _stationarity_max(grid: DiscGrid, states, controls, costates) -> ScalarField:
+    """(26): the largest |dH/du-bar^a| over the four controls, node by node.
+
+    The stationarity fields are folded in one at a time, each dying before
+    the next is computed.
+    """
+    out = np.zeros(grid.n_nodes)
+    for r in stationarity_residual(plastic_multiplier_system(), plastic_cost(), grid,
+                                   states, controls, costates):
+        np.maximum(out, np.abs(r.data), out=out)
+        del r
+    return ScalarField(grid, out)
+
+
+def _each(names, fields):
+    """(name, field) pairs of `fields`, holding none of them once it is yielded."""
+    fields = list(fields)
+    for name in names:
+        yield name, fields.pop(0)
+
+
 def _residual_fields(config: RunConfig, grid: DiscGrid):
-    """All grid-based residual fields of the suite, keyed by condition name."""
+    """Every grid-based residual field of the suite as (condition, field) pairs, in order.
+
+    Each field is computed when it is asked for, and each intermediate dies
+    after its last use: the stress after (7.3), each A_i after its (6.R)
+    term, the controls u, v, mu, nu after (26), and the costates after
+    (28.x).  The stream keeps no field it has yielded, so a consumer that
+    drops each pair before asking for the next (`banded_norms`) holds one
+    condition field at a time.
+    """
     family = config.make_family()
     state = build_state(grid, family)
     stress = stress_from_polar(state)
-    out: dict[str, ScalarField] = {}
-
-    eq1, eq2 = equilibrium_residual(stress)
-    out["(7.1)"], out["(7.2)"] = eq1, eq2
-    yield_res = ((stress.syy - stress.sxx) * (stress.syy - stress.sxx)
-                 + 4.0 * stress.sxy * stress.sxy - 4.0 * state.k * state.k)
-    out["(7.3)"] = yield_res
+    yield from _each(("(7.1)", "(7.2)"), equilibrium_residual(stress))
+    yield "(7.3)", ((stress.syy - stress.sxx) * (stress.syy - stress.sxx)
+                    + 4.0 * stress.sxy * stress.sxy - 4.0 * state.k * state.k)
+    del stress
 
     states = state.as_list()
-    out["(8.1)"], out["(8.2)"], out["(6.R)"] = _forward_and_det(grid, states)
+    yield from _each(("(8.1)", "(8.2)", "(6.R)"), _forward_and_det(grid, states))
 
-    u, v, mu, nu = canonical_controls(grid, family)
-    c1, c2, c3 = plastic_cic(state.rho, state.phi, state.k, u, v, mu, nu)
-    out["(10.1)"], out["(10.2)"], out["(10.3)"] = c1, c2, c3
+    controls = canonical_controls(grid, family)
+    yield from _each(("(10.1)", "(10.2)", "(10.3)"),
+                     plastic_cic(state.rho, state.phi, state.k, *controls))
 
     # Composed second-derivative stencils are only first-order where the
     # composition crosses one-sided edge nodes, so this condition is scored
     # on fully-interior nodes (everything else uses single stencils and
     # stays second-order up to the mask edge).
-    keq = k_equation_residual(state.k)
-    out["(K-equation)"] = ScalarField(grid, np.where(grid.interior_mask(2), keq.data, 0.0))
+    yield "(K-equation)", ScalarField(grid, np.where(grid.interior_mask(2),
+                                                     k_equation_residual(state.k).data, 0.0))
 
     costates = costate_bundle_star(grid, config.perturb_q1)
-    msys = plastic_multiplier_system()
-    cost = plastic_cost()
-    stat = stationarity_residual(msys, cost, grid, states, (u, v, mu, nu), costates)
-    stat_max = np.zeros(grid.n_nodes)
-    for r in stat:
-        np.maximum(stat_max, np.abs(r.data), out=stat_max)
-    out["(26)"] = ScalarField(grid, stat_max)
-
-    (p1f, p2f), _, (q1f, q2f) = costates.components
-    l1, l2, l3 = costate_system_residual(p1f, p2f, q1f, q2f, state.phi)
-    out["(28.1)"], out["(28.2)"], out["(28.3)"] = l1, l2, l3
-    return out, state, stress, costates
+    yield "(26)", _stationarity_max(grid, states, controls, costates)
+    (p1, p2), _, (q1, q2) = costates.components
+    phi = state.phi
+    del controls, costates, state, states
+    yield from _each(("(28.1)", "(28.2)", "(28.3)"),
+                     costate_system_residual(p1, p2, q1, q2, phi))
 
 
 _EXACT_CONDITIONS = {"(7.3)", "(6.R)", "(26)", "(27.1)", "(27.2)", "(27.3)", "(28.1)"}
@@ -274,7 +296,7 @@ _EXACT_CONDITIONS = {"(7.3)", "(6.R)", "(26)", "(27.1)", "(27.2)", "(27.3)", "(2
 def run_verify(config: RunConfig) -> Report:
     """Evaluate every condition of the plastic suite at the configured h."""
     grid = config.make_grid()
-    norms = banded_norms(grid, lambda band: _residual_fields(config, band)[0])
+    norms = banded_norms(grid, lambda band: _residual_fields(config, band))
     results = []
     for name, (max_norm, l2_norm) in norms.items():
         tol = _EXACT_TOL if name in _EXACT_CONDITIONS else config.tolerance(name, grid.h)
@@ -315,9 +337,8 @@ def run_convergence(config: RunConfig, h_values) -> dict:
 
     norms: dict[str, list[float]] = {}
     for grid in itertools.chain([coarse], map(config.make_grid, hs[1:])):
-        fields, _, _, _ = _residual_fields(config, grid)
         common = grid.node_index(xs, ys)
-        for name, f in fields.items():
+        for name, f in _residual_fields(config, grid):
             norms.setdefault(name, []).append(float(np.abs(f.data[common]).max()))
 
     rows = []
@@ -337,30 +358,33 @@ def run_convergence(config: RunConfig, h_values) -> dict:
 
 
 def write_fields(config: RunConfig, out_dir: str | None = None) -> list[str]:
-    """Export state/stress, costate, and residual fields as CSV files."""
+    """Export state/stress, costate, and residual fields as CSV files.
+
+    Each file is written from its own fields, which die before the next
+    file's are computed: the state and stress, then the costates (both
+    closed-form samples), then the residual stream, collected whole because
+    a CSV row holds every condition.
+    """
     out_dir = out_dir or config.out
     os.makedirs(out_dir, exist_ok=True)
     grid = config.make_grid()
-    fields, state, stress, costates = _residual_fields(config, grid)
 
-    paths = []
-    stress_path = os.path.join(out_dir, "stress.csv")
-    write_csv(stress_path, grid, {
+    paths = [os.path.join(out_dir, name)
+             for name in ("stress.csv", "costates.csv", "residuals.csv")]
+    state = build_state(grid, config.make_family())
+    stress = stress_from_polar(state)
+    write_csv(paths[0], grid, {
         "sxx": stress.sxx, "syy": stress.syy, "sxy": stress.sxy,
         "rho": state.rho, "K": state.k,
         "cphi": state.phi.c, "sphi": state.phi.s,
     })
-    paths.append(stress_path)
+    del state, stress
 
-    (p1, p2), (r1, r2), (q1, q2) = costates.components
-    costate_path = os.path.join(out_dir, "costates.csv")
-    write_csv(costate_path, grid, {"p1": p1, "p2": p2, "r1": r1, "r2": r2,
-                                   "q1": q1, "q2": q2})
-    paths.append(costate_path)
+    (p1, p2), (r1, r2), (q1, q2) = costate_bundle_star(grid, config.perturb_q1).components
+    write_csv(paths[1], grid, {"p1": p1, "p2": p2, "r1": r1, "r2": r2, "q1": q1, "q2": q2})
+    del p1, p2, r1, r2, q1, q2
 
-    residual_path = os.path.join(out_dir, "residuals.csv")
-    write_csv(residual_path, grid,
+    write_csv(paths[2], grid,
               {name.strip("()").replace(".", "_").replace("-", "_"): f
-               for name, f in fields.items()})
-    paths.append(residual_path)
+               for name, f in _residual_fields(config, grid)})
     return paths

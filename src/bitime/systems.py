@@ -159,9 +159,9 @@ class ForwardPass:
     last state rows^beta = sum_i sum_alpha A_i^{beta alpha} dx^i/dt^alpha - B^beta,
     summed as ((-B + A_1 col 1 dx^1/dt^1) + A_1 col 2 dx^1/dt^2) + ...
     A pass walks once, through either iteration (each StateStep) or
-    `triples`.  It keeps no step once it has handed it on, so while the
-    caller drops each step before asking for the next (`triples` does),
-    one matrix is alive at a time.
+    `triples`.  It keeps no step once it has handed it on, and its callers
+    (`triples`, the suite's (6.R) loop) drop each step before asking for
+    the next, so one matrix is alive at a time.
     """
 
     def __init__(self, sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()):

@@ -134,8 +134,8 @@ def test_criterion_05_maximum_principle():
     controls = canonical_controls(grid, fam)
     costates = costate_bundle_star(grid)
     msys = plastic_multiplier_system()
-    stat = stationarity_residual(msys, plastic_cost(), grid, state.as_list(),
-                                 controls, costates)
+    stat = list(stationarity_residual(msys, plastic_cost(), grid, state.as_list(),
+                                      controls, costates))
     checks = [("stationarity <= 1e-12",
                max(r.max_norm() for r in stat) <= 1e-12,
                f"max={max(r.max_norm() for r in stat):.3e}")]

@@ -311,12 +311,12 @@ class TestBands:
                     "mixed": partial(f * fx + g.field(lambda x, y: y), 1)}
 
         whole = fields(family_grid)
-        norms = banded_norms(family_grid, fields, 300)
+        norms = banded_norms(family_grid, lambda g: fields(g).items(), 300)
         assert norms == {name: (f.max_norm(), f.l2_norm()) for name, f in whole.items()}
 
     def test_one_band_norms_exact(self, grid32):
         f = grid32.field(lambda x, y: x * y + 0.5)
-        assert banded_norms(grid32, lambda g: {"f": f}) == {"f": (f.max_norm(), f.l2_norm())}
+        assert banded_norms(grid32, lambda g: {"f": f}.items()) == {"f": (f.max_norm(), f.l2_norm())}
 
 
 class TestBoundarySamples:

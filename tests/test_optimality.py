@@ -54,8 +54,8 @@ class TestHamiltonian:
 class TestStationarity:
     def test_vanishes_under_relations_26(self, quad_setup):
         grid, state, controls, costates = quad_setup
-        res = stationarity_residual(MSYS, COST, grid, state.as_list(), controls,
-                                    costates)
+        res = list(stationarity_residual(MSYS, COST, grid, state.as_list(), controls,
+                                         costates))
         assert len(res) == 4
         assert max(r.max_norm() for r in res) <= 1e-12
 
@@ -73,7 +73,7 @@ class TestStationarity:
                   p2 - q1 * c + q2 * s,
                   -1.0 * r1 * c + r2 * s - q1 * s - q2 * c,
                   r1 * s + r2 * c - q1 * c + q2 * s)
-        res = stationarity_residual(MSYS, COST, grid, state.as_list(), controls, bad)
+        res = list(stationarity_residual(MSYS, COST, grid, state.as_list(), controls, bad))
         for got, want in zip(res, expect):
             assert (got - want).max_norm() <= 1e-12
         assert min(r.max_norm() for r in res) > 0.1

@@ -123,7 +123,8 @@ class TestRunVerify:
 
         calls = Counter()
         monkeypatch.setattr(suite, "plastic_system", lambda: counted(plastic_system(), calls))
-        suite._residual_fields(FAST, FAST.make_grid())
+        for _ in suite._residual_fields(FAST, FAST.make_grid()):
+            pass
         assert calls == {"A_1": 1, "A_2": 1, "A_3": 1, "B": 1}
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
@@ -135,10 +136,69 @@ class TestRunVerify:
 
         config = RunConfig(h=1 / 64, family=family, perturb_q1=1e-3)
         grid = config.make_grid()
-        whole, *_ = _residual_fields(config, grid)
-        banded = banded_norms(grid, lambda band: _residual_fields(config, band)[0], 900)
+        whole = dict(_residual_fields(config, grid))
+        banded = banded_norms(grid, lambda band: _residual_fields(config, band), 900)
         assert banded == {name: (f.max_norm(), f.l2_norm()) for name, f in whole.items()}
         assert list(banded) == list(whole)
+
+    def test_stream_keeps_no_field(self, monkeypatch):
+        # run_verify holds one condition field at a time: each field the
+        # stream yields is dead when banded_norms asks for the next pair, and
+        # each A_i is dead when A_{i+1} is evaluated
+        import weakref
+
+        from bitime import suite
+        from bitime.systems import QuasiLinearSystem
+
+        stream, matrix = suite._residual_fields, QuasiLinearSystem.matrix
+        fields, alive_at_ask, matrices, alive_at_matrix = [], [], [], []
+
+        class Watched:
+            def __init__(self, pairs):
+                self.pairs = pairs
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                alive_at_ask.append(sum(ref() is not None for ref in fields))
+                name, f = next(self.pairs)
+                fields.append(weakref.ref(f.data))
+                return name, f
+
+        def tracked(self, *args):
+            alive_at_matrix.append(sum(ref() is not None for ref in matrices))
+            a = matrix(self, *args)
+            matrices.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(suite, "_residual_fields",
+                            lambda config, grid: Watched(stream(config, grid)))
+        monkeypatch.setattr(QuasiLinearSystem, "matrix", tracked)
+        # two bands at this size
+        run_verify(RunConfig(h=1 / 256, family="inv_x", perturb_q1=1e-3))
+        bands = len(matrices) // 3
+        assert bands == 2 and len(fields) == 14 * bands
+        assert alive_at_ask == [0] * (15 * bands)
+        assert alive_at_matrix == [0] * (3 * bands)
+
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_peak_memory_bound(self, family):
+        # every family is one band at h = 1/128; a verify's traced peak stays
+        # within 32 field-sized arrays (about 28.5 measured)
+        import gc
+        import tracemalloc
+
+        config = RunConfig(h=1 / 128, family=family)
+        n_nodes = config.make_grid().n_nodes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_verify(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n_nodes * 8, peak / (n_nodes * 8)
 
     def test_corrupted_costate_fails_27(self):
         report = run_verify(RunConfig(h=1 / 32, perturb_q1=0.1))

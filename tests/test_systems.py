@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitime.grid import ExclusionZone, build_disc_grid
-from bitime.integrability import forward_and_cic
+from bitime.integrability import cic_multi, forward_and_cic
 from bitime.systems import (QuasiLinearSystem, cross_triple, forward_residual,
                             split_controls)
 
@@ -72,6 +72,14 @@ class TestSplitControls:
                     with pytest.raises(ValueError,
                                        match="^state count does not match the system$"):
                         walk(sys, grid32, [state] * count)
+        # and cic_multi's override of a split's states
+        for n in (1, 2):
+            split = split_controls(QuasiLinearSystem(a=(IDENTITY,) * n, b=ZERO_B), grid32,
+                                   [state] * n)
+            for count in (n - 1, n + 1):
+                with pytest.raises(ValueError,
+                                   match="^state count does not match the system$"):
+                    cic_multi(split, states=[state] * count)
 
     def test_split_line_exact_by_construction(self, grid32):
         # v_i = A_i grad x^i makes Eq (5) line i hold at grid precision
