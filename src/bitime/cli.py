@@ -135,14 +135,11 @@ def residuals(system_file, h, as_json):
     sys_def = system_from_config(spec)
     grid = grid_from_config(spec, h)
 
-    def residual_fields(band):
-        states, controls = fields_from_config(spec, band)
-        fwd, cic = forward_and_cic(sys_def, band, states, controls)
-        return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
-                **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}.items()
-
-    rows = [{"condition": name, "max_norm": max_norm, "l2_norm": l2_norm, "h": grid.h}
-            for name, (max_norm, l2_norm) in banded_norms(grid, residual_fields).items()]
+    norms = banded_norms(grid, lambda band: forward_and_cic(
+        sys_def, band, *fields_from_config(spec, band)))
+    # the stream ends with the forward rows; the report lists them first
+    rows = [{"condition": name, "max_norm": norms[name][0], "l2_norm": norms[name][1],
+             "h": grid.h} for name in sorted(norms, key=lambda name: name.startswith("cic"))]
     if as_json:
         click.echo(json.dumps({"h": grid.h, "rows": rows}, indent=2))
     else:

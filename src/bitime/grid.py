@@ -16,10 +16,11 @@ adjacent in node order, so the centered y difference is one subtraction of
 two slices; the centered x difference gathers through two index vectors;
 the one-sided stencils overwrite the edge nodes through index triples.
 
-Residual norms over a fine grid are taken band by band (`banded_norms`):
-each band of lattice columns carries a halo wide enough that its core
-nodes see the whole grid's stencils, so the peak memory of a check follows
-the band size rather than the node count.
+Residual norms over a fine grid are taken band by band (`walk_bands`,
+`banded_norms`): each band of lattice columns carries a halo wide enough
+that its core nodes see the whole grid's stencils, and is a lattice of its
+own columns only, so the peak memory of a check follows the band size
+rather than the node count.
 
 Closed forms f(x, y) reach the grid only through `DiscGrid.sample`, which
 evaluates them on the node coordinates alone, so a formula may be singular
@@ -44,6 +45,7 @@ __all__ = [
     "build_disc_grid",
     "partial",
     "boundary_samples",
+    "walk_bands",
     "banded_norms",
     "write_csv",
 ]
@@ -103,11 +105,14 @@ _MAX_LATTICE_POINTS = 5_000_000
 # Rows per output block in write_csv.
 _CSV_BLOCK_ROWS = 2048
 
-# Most core nodes per band in `banded_norms`, and the columns each band
+# Most core nodes per band in `walk_bands`, and the columns each band
 # carries beyond its core on either side: every stencil reads at most two
-# columns to each side, so two nested x-derivatives reach four.
+# columns to each side, so two nested x-derivatives reach four.  Beyond its
+# halo a band's lattice has two empty columns on either side, as the whole
+# lattice has its two padding rings, so no neighbour lookup leaves it.
 _BAND_NODES = 65536
 _HALO_COLUMNS = 4
+_PAD_COLUMNS = 2
 # Most values per sum of squares in `banded_norms`; band cores are cut
 # between such ranges.
 _SUM_LEAF_NODES = 4096
@@ -129,12 +134,13 @@ class DiscGrid:
     """
 
     def __init__(self, h: float, margin: float, zones: Sequence[ExclusionZone],
-                 mask: np.ndarray, coords: np.ndarray):
+                 mask: np.ndarray, lattice_x: np.ndarray, lattice_y: np.ndarray):
         self.h = float(h)
         self.margin = float(margin)
         self.zones = tuple(zones)
         self.mask = mask
-        self.coords = coords  # 1-d lattice coordinates, shared by both axes
+        # 1-d coordinates of the lattice columns (x) and rows (y)
+        self.lattice_x, self.lattice_y = lattice_x, lattice_y
         self.shape = mask.shape
         self.n_nodes = int(np.count_nonzero(mask))
 
@@ -160,7 +166,7 @@ class DiscGrid:
         """
         stride = self.shape[1]
         flat = np.flatnonzero(self.mask)
-        x, y = self.coords[flat // stride], self.coords[flat % stride]
+        x, y = self.lattice_x[flat // stride], self.lattice_y[flat % stride]
         node = np.full(self.mask.size, -1, dtype=np.intp)  # lattice point -> node, or -1
         node[flat] = np.arange(self.n_nodes)
         interior = np.ones(self.n_nodes, dtype=bool)
@@ -184,8 +190,8 @@ class DiscGrid:
     y = property(lambda self: self._nodes[1])
 
     # the lattice coordinates, as read-only views of shape `shape`
-    X = property(lambda self: np.broadcast_to(self.coords[:, None], self.shape))
-    Y = property(lambda self: np.broadcast_to(self.coords[None, :], self.shape))
+    X = property(lambda self: np.broadcast_to(self.lattice_x[:, None], self.shape))
+    Y = property(lambda self: np.broadcast_to(self.lattice_y[None, :], self.shape))
 
     def interior_mask(self, radius: int = 2) -> np.ndarray:
         """Per node: True if every lattice point within two axis steps is a node.
@@ -199,31 +205,42 @@ class DiscGrid:
             raise ValueError(f"interior_mask takes radius 2 only, got {radius!r}")
         return self._nodes[4]
 
+    @cached_property
+    def _column_starts(self) -> np.ndarray:
+        """The first node of each lattice column, and the node count last."""
+        return np.concatenate(([0], np.cumsum(np.count_nonzero(self.mask, axis=1))))
+
     def band(self, lo: int, hi: int) -> tuple["DiscGrid", slice]:
         """The grid on the lattice columns that hold nodes lo..hi-1, plus halo.
 
         Returns (band, core): `band` holds every node of those columns and of
         `_HALO_COLUMNS` more on either side; `core` is the slice of its nodes
-        that are nodes lo..hi-1 here.  Near its ends a band's stencil taps
-        differ from the grid's, but not within `_HALO_COLUMNS` columns of
-        them: a result built node by node from closed forms with at most two
-        nested x-derivatives has the same value, bit for bit, on a core node
-        as on the whole grid.  The whole node range is the grid itself.
+        that are nodes lo..hi-1 here.  The band's lattice is those columns
+        and `_PAD_COLUMNS` empty ones on either side, so its mask, node map
+        and taps are sized by the band, not by the grid.  Near its ends a
+        band's stencil taps differ from the grid's, but not within
+        `_HALO_COLUMNS` columns of them: a result built node by node from
+        closed forms with at most two nested x-derivatives has the same
+        value, bit for bit, on a core node as on the whole grid.  The whole
+        node range is the grid itself.
         """
         if lo == 0 and hi == self.n_nodes:
             return self, slice(None)
-        starts = np.concatenate(([0], np.cumsum(np.count_nonzero(self.mask, axis=1))))
+        starts = self._column_starts
         c0 = max(int(np.searchsorted(starts, lo, "right")) - 1 - _HALO_COLUMNS, 0)
         c1 = min(int(np.searchsorted(starts, hi - 1, "right")) + _HALO_COLUMNS, self.shape[0])
-        mask = np.zeros_like(self.mask)
-        mask[c0:c1] = self.mask[c0:c1]
-        return (DiscGrid(self.h, self.margin, self.zones, mask, self.coords),
+        # the grid's own two empty columns pad a band at the lattice's ends
+        p0, p1 = max(c0 - _PAD_COLUMNS, 0), min(c1 + _PAD_COLUMNS, self.shape[0])
+        mask = np.zeros((p1 - p0, self.shape[1]), dtype=bool)
+        mask[c0 - p0:c1 - p0] = self.mask[c0:c1]
+        return (DiscGrid(self.h, self.margin, self.zones, mask, self.lattice_x[p0:p1],
+                         self.lattice_y),
                 slice(int(lo - starts[c0]), int(hi - starts[c0])))
 
     def node_index(self, x, y) -> np.ndarray:
         """The node numbers of the points (x, y), which must be nodes."""
-        i = np.rint((x - self.coords[0]) / self.h).astype(int)
-        j = np.rint((y - self.coords[0]) / self.h).astype(int)
+        i = np.rint((x - self.lattice_x[0]) / self.h).astype(int)
+        j = np.rint((y - self.lattice_y[0]) / self.h).astype(int)
         # nodes are in row-major lattice order, so their flat lattice indices are sorted
         return np.searchsorted(np.flatnonzero(self.mask), np.ravel_multi_index((i, j), self.shape))
 
@@ -243,21 +260,32 @@ class DiscGrid:
         """Evaluate a closed form f(x, y) on the nodes, one field per output.
 
         f returns one value or a tuple of values (arrays over the nodes, or
-        scalars); see `on_mask` for the floating-point policy.
+        scalars); see `on_mask` for the floating-point policy.  An array
+        returned twice is kept by its first field and copied for the others.
         """
         out = self.on_mask(f)
-        return tuple(self.field(v) for v in (out if isinstance(out, tuple) else (out,)))
+        fields = []
+        for v in (out if isinstance(out, tuple) else (out,)):
+            fields.append(self.field(np.copy(v) if any(v is g.data for g in fields) else v))
+        return tuple(fields)
 
     def field(self, values) -> "ScalarField":
         """A field from a constant, a callable f(x, y) (see `sample`), an array
-        over the nodes, or a lattice-shaped array, which is restricted to the nodes."""
+        over the nodes, or a lattice-shaped array, which is restricted to the nodes.
+
+        A writeable float64 array of one value per node that owns its data
+        becomes the field's data as it is; anything else (a read-only array
+        such as the node coordinates, a view, a broadcast, a scalar) is copied.
+        """
         if callable(values):
             (f,) = self.sample(values)
             return f
         data = np.asarray(values, dtype=float)
         if data.shape == self.shape:
             data = data[self.mask]
-        return ScalarField(self, np.broadcast_to(data, (self.n_nodes,)).copy())
+        if not (data.shape == (self.n_nodes,) and data.flags.owndata and data.flags.writeable):
+            data = np.broadcast_to(data, (self.n_nodes,)).copy()
+        return ScalarField(self, data)
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros(self.n_nodes))
@@ -302,7 +330,7 @@ def build_disc_grid(h: float, margin: float | None = None,
 
     if mask.sum() < 9:
         raise ValueError("grid too coarse")
-    return DiscGrid(h, margin, zones, mask, coords)
+    return DiscGrid(h, margin, zones, mask, coords, coords)
 
 
 class ScalarField:
@@ -439,6 +467,25 @@ def _pairwise_total(leaf_sums: dict[int, float], lo: int, n: int, size: int) -> 
             + _pairwise_total(leaf_sums, lo + left, right, size))
 
 
+def walk_bands(grid: DiscGrid, max_nodes: int = _BAND_NODES):
+    """The grid one band at a time: (band, core, cut) per band, in node order.
+
+    `band` and `core` are `DiscGrid.band` of the band's node range, whose
+    cores hold at most `max_nodes` nodes each; `cut` lists the (start, stop)
+    ranges of that range over which numpy's pairwise sum over the grid's
+    nodes takes its sums of at most `_SUM_LEAF_NODES` values, for a fold
+    that adds them back up (`banded_norms`).  Bands are cut between those
+    ranges.
+    """
+    leaves = _sum_leaves(0, grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes))
+    while leaves:
+        k = 1
+        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
+            k += 1
+        cut, leaves = leaves[:k], leaves[k:]
+        yield (*grid.band(cut[0][0], cut[-1][1]), cut)
+
+
 def banded_norms(grid: DiscGrid,
                  residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
                  max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
@@ -446,24 +493,20 @@ def banded_norms(grid: DiscGrid,
 
     `residuals` maps a grid to a stream of (name, ScalarField) pairs, the
     same names in the same order on every grid, and must build fields of
-    the kind `DiscGrid.band` keeps exact.  It runs on one band at a time,
-    whose cores hold at most `max_nodes` nodes each.  Each pair is folded
-    into its name's max and sums as it arrives, and dropped before the next
-    is asked for: a stream that keeps no reference to a field it has
-    yielded has one condition field alive at a time, and the memory a call
-    needs follows `max_nodes` rather than the grid's node count.  Both norms
-    equal `ScalarField.max_norm` and `l2_norm` on the whole grid bit for
-    bit: the sums of squares are taken over the ranges numpy's pairwise sum
-    splits the nodes into, and added back up in its order.
+    the kind `DiscGrid.band` keeps exact.  It runs on one band of
+    `walk_bands` at a time.  Each pair is folded into its name's max and
+    sums as it arrives, and dropped before the next is asked for: a stream
+    that keeps no reference to a field it has yielded has one condition
+    field alive at a time, and the memory a call needs follows `max_nodes`
+    rather than the grid's node count.  Both norms equal
+    `ScalarField.max_norm` and `l2_norm` on the whole grid bit for bit: the
+    sums of squares are taken over the ranges numpy's pairwise sum splits
+    the nodes into, and added back up in its order.
     """
-    size = min(_SUM_LEAF_NODES, max_nodes)
     peak: dict[str, float] = {}
     leaf_sums: dict[str, dict[int, float]] = {}
-
-    def take(cut):
-        """Fold in the stream of the band whose core is the leaves `cut`."""
+    for band, core, cut in walk_bands(grid, max_nodes):
         lo = cut[0][0]
-        band, core = grid.band(lo, cut[-1][1])
         for name, f in residuals(band):
             v = f.data[core]
             peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
@@ -472,15 +515,7 @@ def banded_norms(grid: DiscGrid,
                 w = v[start - lo:stop - lo]
                 sums[start] = float((w * w).sum())
             del f, v, w  # the field dies before the stream computes the next one
-
-    leaves = _sum_leaves(0, grid.n_nodes, size)
-    while leaves:
-        k = 1
-        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
-            k += 1
-        take(leaves[:k])
-        leaves = leaves[k:]
-    n = grid.n_nodes
+    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
     return {name: (peak[name], math.sqrt(_pairwise_total(leaf_sums[name], 0, n, size)
                                          * grid.h**2))
             for name in peak}

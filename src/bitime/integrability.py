@@ -6,6 +6,10 @@ The plastic-medium specialisation writes the three conditions directly in
 the canonical controls (u, v, mu, nu), which keeps the angle sheet out of
 the formulas (only its unit pair enters).
 
+`forward_and_cic` is the stream the `residuals` command folds: one walk
+over the states yields each state's condition as its step finishes, then
+the forward rows, so a band holds one condition field at a time.
+
 Second derivatives are composed first-derivative stencils throughout, so
 convergence constants are reproducible against the first-order operators.
 Residuals are reported raw, not normalised by any coefficient magnitude.
@@ -14,6 +18,7 @@ Residuals are reported raw, not normalised by any coefficient magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .grid import AngleField, DiscGrid, ScalarField, partial
 from .systems import CrossTriple, ForwardPass, QuasiLinearSystem, SplitSystem, cross_triple
@@ -68,16 +73,27 @@ def cic_multi(split: SplitSystem, states=None) -> CicReport:
 
 
 def forward_and_cic(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()
-                    ) -> tuple[tuple[ScalarField, ScalarField], CicReport]:
-    """`forward_residual` and `cic_multi(split_controls(...))` in one pass over the states.
+                    ) -> Iterator[tuple[str, ScalarField]]:
+    """The `residuals` stream: ("cic.i", field) for each state i, then ("forward.1", ...)
+    and ("forward.2", ...).
 
-    The same fields bit for bit, from one evaluation of each A_i, grad x^i
-    and B (see `systems.ForwardPass`).
+    One `ForwardPass` over the states: each cic.i is yielded as its step
+    finishes, and the forward rows once the walk is done.  These are the
+    fields of `cic_multi(split_controls(...))` and `forward_residual` bit
+    for bit, from one evaluation of each A_i, grad x^i and B.  The states
+    are checked, and B evaluated, when this is called.  The stream keeps no
+    cic.i it has yielded; the forward rows are views of the one array of
+    rows the walk sums into.
     """
     _scalar_states(states)
-    fwd = ForwardPass(sys, grid, states, controls)
-    residuals = tuple(map(_triple_cic, fwd.triples(), states))
-    return fwd.residual(), CicReport(residuals=residuals)
+    return _stream(ForwardPass(sys, grid, states, controls), states)
+
+
+def _stream(fwd: ForwardPass, states):
+    triples = fwd.triples()
+    for i, x in enumerate(states, 1):
+        yield f"cic.{i}", _triple_cic(next(triples), x)
+    yield from zip(("forward.1", "forward.2"), fwd.residual())
 
 
 def _triple_cic(t: CrossTriple, x: ScalarField) -> ScalarField:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import DiscGrid, ScalarField
-from .systems import nest_array, state_value
+from .systems import state_value
 
 __all__ = [
     "CostateBundle",
@@ -67,7 +67,7 @@ def hamiltonian(msys: MultiplierSystem, cost: CostBundle, x, y,
     """H = X + sum_i p^i_beta f_i^beta at a point or over arrays."""
     h = cost.running_value(x, y, states, controls)
     for f_i, (p1, p2) in zip(msys.rhs, costates, strict=True):
-        f = nest_array(f_i(x, y, states, controls), np.shape(x), 1)
+        f = f_i(x, y, states, controls)
         h = h + p1 * f[0] + p2 * f[1]
     return h
 

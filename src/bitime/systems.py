@@ -14,7 +14,10 @@ The residuals are taken in one walk over the states (`ForwardPass`), which
 checks that it is handed n states: B once, then per state A_i and grad x^i
 once.  Each step adds A_i grad x^i to the forward rows; `ForwardPass.triples`
 also takes from it v_i, the running B - v_1 - ... - v_{n-1} and the state's
-cross-triple.  `forward_residual` and `split_controls` are such walks;
+cross-triple.  The rows, v_i, the running B - sum(v) and each triple's
+P, Q and R are built in place, by the same additions and subtractions in
+the same order as the formulas written out, so every value is the same bit
+for bit.  `forward_residual` and `split_controls` are such walks;
 `cross_triple` evaluates one state on its own, with the formula `CrossTriple.of`.
 """
 
@@ -62,7 +65,9 @@ def nest_array(raw, shape, rank: int) -> np.ndarray:
 
 def det2(a: np.ndarray) -> np.ndarray:
     """a00 a11 - a01 a10 of a 2x2 nest whose entries are arrays (A_i, shape (2, 2) + ...)."""
-    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    d = a[0, 0] * a[1, 1]
+    d -= a[0, 1] * a[1, 0]
+    return d
 
 
 @dataclass(frozen=True)
@@ -128,28 +133,23 @@ class CrossTriple:
 
     @classmethod
     def of(cls, grid: DiscGrid, a: np.ndarray, w: np.ndarray) -> "CrossTriple":
-        """The triple of A_i and the right-hand side w = (w1, w2) of its own equation."""
-        p = a[0, 1] * w[1] - a[1, 1] * w[0]
-        q = a[1, 0] * w[0] - a[0, 0] * w[1]
+        """The triple of A_i and the right-hand side w = (w1, w2) of its own equation.
+
+        Each of P, Q and R is one product less the other, subtracted in place.
+        """
+        p = a[0, 1] * w[1]
+        p -= a[1, 1] * w[0]
+        q = a[1, 0] * w[0]
+        q -= a[0, 0] * w[1]
         return cls(ScalarField(grid, p), ScalarField(grid, q), ScalarField(grid, det2(a)))
 
 
 @dataclass(frozen=True)
 class StateStep:
-    """State i's share of one pass over a system: A_i and its products with grad x^i.
+    """State i's share of one pass over a system: A_i and v_i = A_i grad x^i."""
 
-    `ax` is A_i's first column times dx^i/dt^1 and `ay` its second column
-    times dx^i/dt^2, one row per equation, each product taken once.
-    """
-
-    a: np.ndarray   # A_i, shape (2, 2, n_nodes)
-    ax: np.ndarray  # shape (2, n_nodes)
-    ay: np.ndarray
-
-    @property
-    def v(self) -> np.ndarray:
-        """A_i grad x^i, shape (2, n_nodes): the canonical control of state i."""
-        return self.ax + self.ay
+    a: np.ndarray  # A_i, shape (2, 2, n_nodes)
+    v: np.ndarray  # A_i grad x^i, shape (2, n_nodes): the canonical control of state i
 
 
 class ForwardPass:
@@ -175,12 +175,23 @@ class ForwardPass:
         self._done = 0
 
     def _step(self) -> StateStep:
+        """The next state's step, with its products added to the rows in place.
+
+        v starts as A_i's first column times dx^i/dt^1; its second column's
+        product with dx^i/dt^2 is then taken one row at a time and added to
+        the row and to v, so a step never holds both column products.
+        """
         self._done += 1
         a = self.sys.matrix(self._done, self.grid, self._sv, self._cv)
         f = self.states[self._done - 1]
-        step = StateStep(a, a[:, 0] * f.partial(1).data, a[:, 1] * f.partial(2).data)
-        self.rows = self.rows + step.ax + step.ay
-        return step
+        v = a[:, 0] * f.partial(1).data
+        self.rows += v
+        dy = f.partial(2).data
+        for beta in (0, 1):
+            ay = a[beta, 1] * dy
+            self.rows[beta] += ay
+            v[beta] += ay
+        return StateStep(a, v)
 
     def __iter__(self):
         while self._done < self.sys.n:
@@ -200,9 +211,8 @@ class ForwardPass:
         step = self._step()
         if self._done == self.sys.n:
             return CrossTriple.of(self.grid, step.a, self.w)
-        v = step.v
-        self.w = self.w - v
-        return CrossTriple.of(self.grid, step.a, v)
+        self.w -= step.v
+        return CrossTriple.of(self.grid, step.a, step.v)
 
     def residual(self) -> tuple[ScalarField, ScalarField]:
         """The two rows as fields (raw: scaling a row of (A, B) scales its residual)."""

@@ -193,6 +193,56 @@ class TestResiduals:
         assert result.exit_code == 0, result.output
         assert calls == {"A_1": 1, "A_2": 1, "A_3": 1, "B": 1}
 
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_small_bands_same_output(self, runner, tmp_path, monkeypatch, as_json):
+        # bands of at most 900 nodes print the one-band report byte for byte,
+        # forward rows first
+        import functools
+
+        from bitime import grid
+
+        spec = write_json(tmp_path / "p.json", PLASTIC_SYSTEM)
+        want = runner.invoke(main, ["residuals", spec, *as_json])
+        assert want.exit_code == 0, want.output
+        first = (json.loads(want.output)["rows"][0]["condition"] if as_json
+                 else want.output.split()[0])
+        assert first == "forward.1"
+        monkeypatch.setattr(grid, "banded_norms",
+                            functools.partial(grid.banded_norms, max_nodes=900))
+        assert runner.invoke(main, ["residuals", spec, *as_json]).output == want.output
+
+    def test_peak_memory_per_state(self, tmp_path):
+        # the stream holds one condition at a time, so a state adds about one
+        # field-sized array (its sample) to the traced peak: about 1.01
+        # measured from 2 to 20 identity-A states at h = 1/128, one band (2.01
+        # when each band collected every cic.i)
+        import gc
+        import tracemalloc
+
+        from bitime.expressions import grid_from_config
+
+        def system(n):
+            names = [f"s{i + 1}" for i in range(n)]
+            return {"states": names, "controls": [], "A": [[["1", "0"], ["0", "1"]]] * n,
+                    "B": [" + ".join(f"{k + 1}*{'yx'[b]}" for k in range(n)) for b in (0, 1)],
+                    "state_fields": {nm: f"{k + 1}*x*y" for k, nm in enumerate(names)},
+                    "control_fields": {}, "zones": [{"kind": "origin", "size": 0.1}],
+                    "h": 1 / 128}
+
+        peaks = {}
+        for n in (2, 20):
+            spec = write_json(tmp_path / f"{n}.json", system(n))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = CliRunner().invoke(main, ["residuals", spec])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+        field = grid_from_config(system(2)).n_nodes * 8
+        assert peaks[20] - peaks[2] <= 1.25 * 18 * field, (peaks[20] - peaks[2]) / (18 * field)
+
     @pytest.mark.parametrize("h", BAD_H)
     def test_unparsable_h(self, runner, tmp_path, h):
         spec = write_json(tmp_path / "s.json", PLASTIC_SYSTEM)

@@ -240,6 +240,25 @@ class TestFields:
         f.data[:] = 0.0
         assert grid32.x.any()
 
+    def test_sample_keeps_fresh_outputs(self, grid32):
+        # a fresh array a closed form returns becomes the field's data; the
+        # node coordinates, broadcasts, views and a repeated output are copied
+        made = []
+
+        def f(x, y):
+            made.append(x * y)
+            a = made[0]
+            return a, a, x, np.broadcast_to(2.0, x.shape), a[::-1]
+
+        kept, again, coord, const, view = grid32.sample(f)
+        assert kept.data is made[0]
+        for g in (again, coord, const, view):
+            assert g.data.flags.writeable and g.data.flags.owndata
+            assert not np.shares_memory(g.data, made[0])
+            assert not np.shares_memory(g.data, grid32.x)
+        assert np.array_equal(again.data, made[0])
+        assert np.array_equal(view.data, made[0][::-1])
+
     def test_sample_singular_on_mask_rejected(self, grid32):
         with pytest.raises(ValueError, match="not finite on the mask"):
             grid32.field(lambda x, y: 1.0 / x)
@@ -302,6 +321,25 @@ class TestBands:
         assert band.n_nodes < family_grid.n_nodes
         assert np.array_equal(band.x[core], family_grid.x[lo:hi])
         assert np.array_equal(band.y[core], family_grid.y[lo:hi])
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 700), (350, 1900), (1234, 1235)])
+    def test_lattice_is_own_columns(self, family_grid, lo, hi):
+        # a band's lattice is the columns of its core, 4 halo columns and 2
+        # empty padding columns on either side, clipped to the grid's lattice
+        grid = family_grid
+        lo, hi = min(lo, grid.n_nodes - 1), min(hi, grid.n_nodes)
+        band, core = grid.band(lo, hi)
+        cols = np.rint((grid.x[lo:hi] - grid.lattice_x[0]) / grid.h).astype(int)
+        width = grid.shape[0]
+        c0, c1 = max(cols.min() - 4, 0), min(cols.max() + 5, width)
+        p0, p1 = max(c0 - 2, 0), min(c1 + 2, width)
+        assert band.shape == (p1 - p0, grid.shape[1])
+        assert np.array_equal(band.lattice_x, grid.lattice_x[p0:p1])
+        assert np.array_equal(band.lattice_y, grid.lattice_y)
+        want = np.zeros(band.shape, dtype=bool)
+        want[c0 - p0:c1 - p0] = grid.mask[c0:c1]
+        assert np.array_equal(band.mask, want)
+        assert np.array_equal(band.node_index(band.x, band.y), np.arange(band.n_nodes))
 
     def test_two_nested_x_derivatives_exact_on_cores(self, family_grid):
         def fields(g):

@@ -129,7 +129,7 @@ def _row_by_row(sys_def, grid, states, controls):
         q = grid.field(a[1, 0] * v1 - a[0, 0] * v2)
         r = grid.field(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
         out[f"cic.{i}"] = cic_single(p, q, r, states[i - 1])
-    return {"forward.1": grid.field(res1), "forward.2": grid.field(res2), **out}
+    return {**out, "forward.1": grid.field(res1), "forward.2": grid.field(res2)}
 
 
 # The benchmark's manufactured systems: n = 2..6 over every zone kind, and
@@ -143,7 +143,8 @@ class TestForwardAndCic:
     def test_bit_identical_to_composed_pipeline(self, n, zone, control):
         # the one walk over the states gives the very fields (and so norms,
         # whole-grid and banded) of forward_residual + cic_multi(split_controls),
-        # and of the formulas written out row by row
+        # and of the formulas written out row by row, each cic.i in state
+        # order and the forward rows last
         spec = workloads.manufactured_system(n, random.Random(1201 + n), zone, 0.15, 1 / 64)
         if control:
             spec = _with_control(spec)
@@ -154,13 +155,11 @@ class TestForwardAndCic:
             states, controls = fields_from_config(spec, band)
             fwd = forward_residual(sys_def, band, states, controls)
             cic = cic_multi(split_controls(sys_def, band, states, controls))
-            return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
-                    **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+            return {**{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)},
+                    **{f"forward.{b + 1}": f for b, f in enumerate(fwd)}}
 
         def walked(band):
-            fwd, cic = forward_and_cic(sys_def, band, *fields_from_config(spec, band))
-            return {**{f"forward.{b + 1}": f for b, f in enumerate(fwd)},
-                    **{f"cic.{i + 1}": r for i, r in enumerate(cic.residuals)}}
+            return dict(forward_and_cic(sys_def, band, *fields_from_config(spec, band)))
 
         got = walked(grid)
         assert len(got) == n + 2
@@ -177,6 +176,35 @@ class TestForwardAndCic:
         sys_def = QuasiLinearSystem(a=(IDENTITY,), b=ZERO_B)
         with pytest.raises(TypeError, match="scalar state sheets"):
             forward_and_cic(sys_def, grid32, [angle_zero(grid32)])
+
+    def test_raises_when_called(self, grid32, monkeypatch):
+        # a bad call raises before the stream is read, and before any A_i
+        sys_def = QuasiLinearSystem(a=(IDENTITY, IDENTITY), b=ZERO_B)
+        state = grid32.field(lambda x, y: x * y)
+        monkeypatch.setattr(QuasiLinearSystem, "matrix", None)
+        with pytest.raises(ValueError, match="^state count does not match the system$"):
+            forward_and_cic(sys_def, grid32, [state])
+        with pytest.raises(TypeError, match="scalar state sheets"):
+            forward_and_cic(sys_def, grid32, [state, angle_zero(grid32)])
+
+    def test_one_condition_alive(self):
+        # each cic.i is yielded as its step finishes, and none is alive when
+        # the stream is asked for the next pair
+        spec = workloads.manufactured_system(4, random.Random(7), "origin", 0.2, 1 / 32)
+        grid = grid_from_config(spec)
+        stream = forward_and_cic(system_from_config(spec), grid, *fields_from_config(spec, grid))
+        names, refs, alive_at_ask = [], [], []
+        while True:
+            alive_at_ask.append(sum(ref() is not None for ref in refs))
+            pair = next(stream, None)
+            if pair is None:
+                break
+            names.append(pair[0])
+            if pair[0].startswith("cic"):
+                refs.append(weakref.ref(pair[1].data))
+            del pair
+        assert names == ["cic.1", "cic.2", "cic.3", "cic.4", "forward.1", "forward.2"]
+        assert alive_at_ask == [0] * 7
 
     def test_one_matrix_alive(self, monkeypatch):
         # A_i is freed before A_{i+1} is evaluated: one matrix alive at a
@@ -195,7 +223,7 @@ class TestForwardAndCic:
             return a
 
         monkeypatch.setattr(QuasiLinearSystem, "matrix", tracked)
-        forward_and_cic(sys_def, grid, states, controls)
+        list(forward_and_cic(sys_def, grid, states, controls))
         assert alive == [[False] * i for i in range(4)]
 
 

@@ -219,6 +219,37 @@ class TestRunConvergence:
         assert statuses["(K-equation)"] == "exact (<=1e-12)"
         assert statuses["(10.3)"] == "ok"
 
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_small_bands_same_table(self, monkeypatch, family):
+        # the table is folded band by band; bands of at most 900 nodes (some
+        # holding no common node) give the one-band table bit for bit
+        from bitime import grid, suite
+
+        config = RunConfig(family=family)
+        hs = [1 / 16, 1 / 32, 1 / 64]
+        want = run_convergence(config, hs)
+        monkeypatch.setattr(suite, "walk_bands", lambda g: grid.walk_bands(g, 900))
+        assert json.dumps(run_convergence(config, hs)) == json.dumps(want)
+
+    def test_peak_memory_bound(self):
+        # the finest grid is walked in bands: convergence to h = 1/256 peaks
+        # within 1.5 times verify's peak at 1/256 (about 1.05 measured; the
+        # whole-grid walk took 3.0)
+        import gc
+        import tracemalloc
+
+        peaks = []
+        for call in (lambda: run_convergence(RunConfig(), [1 / 64, 1 / 128, 1 / 256]),
+                     lambda: run_verify(RunConfig(h=1 / 256))):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.5 * peaks[1], peaks[0] / peaks[1]
+
     def test_single_h_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             run_convergence(FAST, [1 / 32])
