@@ -291,6 +291,16 @@ class DiscGrid:
         return ScalarField(self, np.zeros(self.n_nodes))
 
 
+def _check_spacing(h: float) -> None:
+    """Refuse h outside (0, 1), or a lattice at h over the budget, before any allocation."""
+    if not 0 < h < 1:
+        raise ValueError("grid spacing must satisfy 0 < h < 1")
+    side = 2.0 / h + 5.0  # lattice points per axis, bounded before any allocation
+    if side * side > _MAX_LATTICE_POINTS:
+        raise ValueError(f"grid spacing {h:g} needs about {side * side:.3g} lattice "
+                         f"points, more than the limit of {_MAX_LATTICE_POINTS}")
+
+
 def build_disc_grid(h: float, margin: float | None = None,
                     zones: Iterable[ExclusionZone] = ()) -> DiscGrid:
     """Build the masked lattice.
@@ -299,12 +309,7 @@ def build_disc_grid(h: float, margin: float | None = None,
     inside the unit circle.  Nodes that cannot host any second-order stencil
     on some axis are pruned until the mask is self-consistent.
     """
-    if not 0 < h < 1:
-        raise ValueError("grid spacing must satisfy 0 < h < 1")
-    side = 2.0 / h + 5.0  # lattice points per axis, bounded before any allocation
-    if side * side > _MAX_LATTICE_POINTS:
-        raise ValueError(f"grid spacing {h:g} needs about {side * side:.3g} lattice "
-                         f"points, more than the limit of {_MAX_LATTICE_POINTS}")
+    _check_spacing(h)
     if margin is None:
         margin = 2.0 * h
     if not 0 <= margin < 1:

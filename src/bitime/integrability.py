@@ -7,8 +7,8 @@ the canonical controls (u, v, mu, nu), which keeps the angle sheet out of
 the formulas (only its unit pair enters).
 
 `forward_and_cic` is the stream the `residuals` command folds: one walk
-over the states yields each state's condition as its step finishes, then
-the forward rows, so a band holds one condition field at a time.
+over the states yields each state's condition from its (A_i, w_i) as the
+step finishes, then the forward rows: a band holds one condition at a time.
 
 Second derivatives are composed first-derivative stencils throughout, so
 convergence constants are reproducible against the first-order operators.
@@ -90,9 +90,10 @@ def forward_and_cic(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()
 
 
 def _stream(fwd: ForwardPass, states):
-    triples = fwd.triples()
+    # no local holds A_i while the walk evaluates A_{i+1}
+    steps = iter(fwd)
     for i, x in enumerate(states, 1):
-        yield f"cic.{i}", _triple_cic(next(triples), x)
+        yield f"cic.{i}", _triple_cic(CrossTriple.of(fwd.grid, *next(steps)), x)
     yield from zip(("forward.1", "forward.2"), fwd.residual())
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "Family",
     "phi_star",
     "phi_star_field",
-    "k_family",
-    "rho_family",
     "PlasticState",
     "build_state",
     "canonical_controls",
@@ -159,16 +157,6 @@ class Family:
         return -2.0 * self.coeff * x / r2, -2.0 * self.coeff * y / r2
 
 
-def k_family(grid: DiscGrid, family: Family) -> ScalarField:
-    """K of the family sampled on the grid; raises off the family's domain."""
-    return grid.field(family.k)
-
-
-def rho_family(grid: DiscGrid, family: Family) -> ScalarField:
-    """rho of the family sampled on the grid; raises off the family's domain."""
-    return grid.field(family.rho)
-
-
 @dataclass(frozen=True)
 class PlasticState:
     """(rho, K, phi) on a common grid with K > 0 enforced."""
@@ -190,8 +178,8 @@ class PlasticState:
 
 def build_state(grid: DiscGrid, family: Family) -> PlasticState:
     """Family state with the closed-form angle sheet."""
-    return PlasticState(rho=rho_family(grid, family),
-                        k=k_family(grid, family),
+    return PlasticState(rho=grid.field(family.rho),
+                        k=grid.field(family.k),
                         phi=phi_star_field(grid))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (DiscGrid, ScalarField, _finite_real, banded_norms,
+from .grid import (DiscGrid, ScalarField, _check_spacing, _finite_real, banded_norms,
                    boundary_samples, build_disc_grid, walk_bands, write_csv)
 from .integrability import plastic_cic
 from .optimality import stationarity_residual
@@ -216,15 +216,15 @@ def _forward_and_det(grid: DiscGrid, states) -> tuple[ScalarField, ScalarField, 
     """(8.1), (8.2) and (6.R) from one forward pass of the plastic system.
 
     R_i of the cross-triple is det2(A_i); (6.R) checks it against LAPACK's
-    LU determinant of each A_i the pass evaluates.  Each step dies after
-    its (6.R) term, before the pass evaluates the next A_i.
+    LU determinant of each A_i the pass evaluates.  Each A_i and w_i dies
+    after its (6.R) term, before the pass evaluates the next A_i.
     """
     fwd = ForwardPass(plastic_system(), grid, states)
     det_err = 0.0
-    for step in fwd:
-        det = np.linalg.det(np.moveaxis(step.a, (0, 1), (-2, -1)))
-        det_err = det_err + np.abs(det2(step.a) - det)
-        del step, det
+    for a, w in fwd:
+        det = np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))
+        det_err = det_err + np.abs(det2(a) - det)
+        del a, w, det
     return (*fwd.residual(), ScalarField(grid, det_err))
 
 
@@ -333,6 +333,8 @@ def run_convergence(config: RunConfig, h_values) -> dict:
         if abs(b - a / 2.0) > 1e-9 * a:
             raise ValueError("h values must halve: got "
                              f"{a:g} followed by {b:g}")
+    for h in hs:  # every lattice within budget before any grid is built
+        _check_spacing(h)
     coarse = config.make_grid(hs[0])
     safe = coarse.interior_mask(2)
     if not safe.any():

@@ -12,13 +12,13 @@ fields, one value per node, so an entry may be singular off the mask.
 
 The residuals are taken in one walk over the states (`ForwardPass`), which
 checks that it is handed n states: B once, then per state A_i and grad x^i
-once.  Each step adds A_i grad x^i to the forward rows; `ForwardPass.triples`
-also takes from it v_i, the running B - v_1 - ... - v_{n-1} and the state's
-cross-triple.  The rows, v_i, the running B - sum(v) and each triple's
-P, Q and R are built in place, by the same additions and subtractions in
-the same order as the formulas written out, so every value is the same bit
-for bit.  `forward_residual` and `split_controls` are such walks;
-`cross_triple` evaluates one state on its own, with the formula `CrossTriple.of`.
+once.  Each step adds A_i grad x^i to the forward rows and yields A_i with
+w_i, the right-hand side of state i's own split equation (v_i for i < n,
+B - v_1 - ... - v_{n-1} for i = n).  The rows, v_i, that running B - sum(v)
+and each triple's P, Q and R are built in place, by the same additions and
+subtractions in the same order as the formulas written out, so every value
+is the same bit for bit.  `forward_residual` and `split_controls` are such
+walks; `cross_triple` evaluates one state on its own, with `CrossTriple.of`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "QuasiLinearSystem",
     "SplitSystem",
     "CrossTriple",
-    "StateStep",
     "ForwardPass",
     "split_controls",
     "cross_triple",
@@ -144,24 +143,17 @@ class CrossTriple:
         return cls(ScalarField(grid, p), ScalarField(grid, q), ScalarField(grid, det2(a)))
 
 
-@dataclass(frozen=True)
-class StateStep:
-    """State i's share of one pass over a system: A_i and v_i = A_i grad x^i."""
-
-    a: np.ndarray  # A_i, shape (2, 2, n_nodes)
-    v: np.ndarray  # A_i grad x^i, shape (2, n_nodes): the canonical control of state i
-
-
 class ForwardPass:
     """One walk over the states of a system: B once, then each A_i and grad x^i once.
 
     `rows` starts at -B and each step adds A_i grad x^i to it, so after the
     last state rows^beta = sum_i sum_alpha A_i^{beta alpha} dx^i/dt^alpha - B^beta,
     summed as ((-B + A_1 col 1 dx^1/dt^1) + A_1 col 2 dx^1/dt^2) + ...
-    A pass walks once, through either iteration (each StateStep) or
-    `triples`.  It keeps no step once it has handed it on, and its callers
-    (`triples`, the suite's (6.R) loop) drop each step before asking for
-    the next, so one matrix is alive at a time.
+    Iterating yields each state's (A_i, w_i): w_i is v_i = A_i grad x^i for
+    i < n and `w` = B - v_1 - ... - v_{n-1}, subtracted in that order, for
+    i = n, the w_i `cross_triple` takes on `split_controls` of the states.
+    A pass walks once and keeps no step it has handed on; its callers drop
+    each (A_i, w_i) before asking for the next, so one matrix is alive at a time.
     """
 
     def __init__(self, sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()):
@@ -174,8 +166,8 @@ class ForwardPass:
         self.rows = -self.w
         self._done = 0
 
-    def _step(self) -> StateStep:
-        """The next state's step, with its products added to the rows in place.
+    def _step(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next state's (A_i, w_i), with its products added to the rows in place.
 
         v starts as A_i's first column times dx^i/dt^1; its second column's
         product with dx^i/dt^2 is then taken one row at a time and added to
@@ -191,28 +183,14 @@ class ForwardPass:
             ay = a[beta, 1] * dy
             self.rows[beta] += ay
             v[beta] += ay
-        return StateStep(a, v)
+        if self._done == self.sys.n:
+            return a, self.w
+        self.w -= v
+        return a, v
 
     def __iter__(self):
         while self._done < self.sys.n:
             yield self._step()
-
-    def triples(self):
-        """Each state's cross-triple in turn, from the same steps.
-
-        The right-hand side is v_i = A_i grad x^i for i < n and, for i = n,
-        `w` = B - v_1 - ... - v_{n-1}, subtracted in that order: the triples
-        `cross_triple` gives on `split_controls` of the same states.
-        """
-        while self._done < self.sys.n:
-            yield self._triple()
-
-    def _triple(self) -> CrossTriple:
-        step = self._step()
-        if self._done == self.sys.n:
-            return CrossTriple.of(self.grid, step.a, self.w)
-        self.w -= step.v
-        return CrossTriple.of(self.grid, step.a, step.v)
 
     def residual(self) -> tuple[ScalarField, ScalarField]:
         """The two rows as fields (raw: scaling a row of (A, B) scales its residual)."""
@@ -222,7 +200,7 @@ class ForwardPass:
 def split_controls(sys: QuasiLinearSystem, grid: DiscGrid, states, controls=()) -> SplitSystem:
     """Manufacture canonical controls v_i = A_i grad x^i node-wise: n-1 steps of a walk."""
     steps = islice(ForwardPass(sys, grid, states, controls), sys.n - 1)
-    v = tuple(tuple(ScalarField(grid, row) for row in step.v) for step in steps)
+    v = tuple(tuple(ScalarField(grid, row) for row in w) for _, w in steps)
     return SplitSystem(base=sys, grid=grid, states=tuple(states),
                        controls=tuple(controls), v=v)
 

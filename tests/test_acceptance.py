@@ -16,10 +16,10 @@ from bitime.grid import ExclusionZone, boundary_samples, build_disc_grid
 from bitime.integrability import cic_multi, plastic_cic
 from bitime.plastic import (Family, build_state, canonical_controls,
                             costate_bundle_star, costate_system_residual,
-                            costates_star, k_equation_residual, k_family,
+                            costates_star, k_equation_residual,
                             equilibrium_residual, phi_star_field,
                             plastic_cost, plastic_multiplier_system,
-                            plastic_system, rho_family, stress_from_polar)
+                            plastic_system, stress_from_polar)
 from bitime.optimality import stationarity_residual
 from bitime.suite import RunConfig, run_convergence, run_verify
 from bitime.systems import cross_triple, forward_residual, split_controls
@@ -183,7 +183,7 @@ def test_criterion_07_oracle_equivalence():
     # two assemblies of the plastic CIC, node-wise, on a branch-free zone
     fam = Family("constant", 1.0)
     grid = build_disc_grid(1 / 64, zones=[ExclusionZone("half_x", 0.1)])
-    rho, k = rho_family(grid, fam), k_family(grid, fam)
+    rho, k = grid.field(fam.rho), grid.field(fam.k)
     phi = phi_star_field(grid)
     phi_scalar = grid.field(
         lambda x, y: np.pi - 2 * np.arctan2(y, np.where(x == 0, 1.0, x)))
@@ -219,7 +219,7 @@ def test_criterion_07_oracle_equivalence():
     fam_x = Family("inv_x", 1.0)
     phi_x = grid_x.field(lambda x, y: np.pi - 2 * np.arctan2(
         y, np.where(x == 0, 1.0, x)))
-    states_ref = [rho_family(grid_x, fam_x), k_family(grid_x, fam_x), phi_x]
+    states_ref = [grid_x.field(fam_x.rho), grid_x.field(fam_x.k), phi_x]
     for label, sys_obj, states in (("config", system_from_config(cfg), states_cfg),
                                    ("builtin", plastic_system(), states_ref)):
         fwd = forward_residual(sys_obj, grid_x, states)

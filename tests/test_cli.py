@@ -102,10 +102,13 @@ class TestVerify:
         assert_usage_error(runner.invoke(main, [command, "--config", path,
                                                 *out_flag(command, tmp_path)]))
 
-    @pytest.mark.parametrize("command", ["verify", "fields"])
+    @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
     def test_grid_over_budget(self, runner, tmp_path, command):
-        # refused before the lattice is allocated (about 4e18 points)
-        assert_usage_error(runner.invoke(main, [command, "--h", "1e-9",
+        # refused before the lattice is allocated (about 4e18 points); a
+        # convergence run refuses its finest spacing before building any grid
+        grid = (["--h-values", "1/256,1/512,1/1024,1/2048"] if command == "convergence"
+                else ["--h", "1e-9"])
+        assert_usage_error(runner.invoke(main, [command, *grid,
                                                 *out_flag(command, tmp_path)]))
 
     @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
@@ -154,7 +157,7 @@ class TestResiduals:
         import numpy as np
         from bitime.grid import ExclusionZone, build_disc_grid
         from bitime.integrability import cic_multi
-        from bitime.plastic import Family, k_family, plastic_system, rho_family
+        from bitime.plastic import Family, plastic_system
         from bitime.systems import forward_residual, split_controls
 
         spec = write_json(tmp_path / "p.json", PLASTIC_SYSTEM)
@@ -165,7 +168,7 @@ class TestResiduals:
 
         fam = Family("inv_x", 1.0)
         grid = build_disc_grid(1 / 64, zones=[ExclusionZone("half_x", 0.1)])
-        rho, k = rho_family(grid, fam), k_family(grid, fam)
+        rho, k = grid.field(fam.rho), grid.field(fam.k)
         phi = grid.field(lambda x, y: np.pi - 2 * np.arctan2(
             y, np.where(x == 0, 1.0, x)))
         states = [rho, k, phi]

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from bitime.expressions import fields_from_config, grid_from_config, system_from_config
 from bitime.grid import AngleField, ExclusionZone, banded_norms, build_disc_grid
 from bitime.integrability import cic_multi, cic_single, forward_and_cic, plastic_cic
-from bitime.plastic import (Family, k_family, phi_star_field, plastic_system,
-                            rho_family)
+from bitime.plastic import Family, phi_star_field, plastic_system
 from bitime.systems import (QuasiLinearSystem, cross_triple, forward_residual,
                             split_controls)
 
@@ -266,8 +265,8 @@ class TestTwoPathEquivalence:
         # known normalization (cic_1 = -line1, cic_2 = line2, cic_3 = -K line3)
         fam = Family("constant", 1.0)
         grid = build_disc_grid(1 / 64, zones=[ExclusionZone("half_x", 0.1)])
-        rho = rho_family(grid, fam)
-        k = k_family(grid, fam)
+        rho = grid.field(fam.rho)
+        k = grid.field(fam.k)
         phi = phi_star_field(grid)
         phi_scalar = grid.field(
             lambda x, y: np.pi - 2 * np.arctan2(y, np.where(x == 0, 1.0, x)))

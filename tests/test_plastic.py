@@ -9,9 +9,9 @@ from bitime.grid import ExclusionZone, boundary_samples, build_disc_grid
 from bitime.plastic import (Family, PlasticState, boundary_condition_residual,
                             build_state, canonical_controls,
                             costate_system_residual, costates_star,
-                            equilibrium_residual, k_equation_residual, k_family,
+                            equilibrium_residual, k_equation_residual,
                             phi_star, phi_star_field, plastic_system,
-                            rho_family, stress_from_polar)
+                            stress_from_polar)
 from bitime.systems import forward_residual
 from conftest import line_integral
 
@@ -85,7 +85,7 @@ class TestFamilies:
     def test_family_fields_on_zone(self):
         fam = Family("inv_x", 1.0)
         grid = family_grid(fam)
-        k = k_family(grid, fam)
+        k = grid.field(fam.k)
         assert (k.data > 0).all()
         assert grid.x.min() >= 0.1 - 1e-12
 
@@ -93,7 +93,7 @@ class TestFamilies:
         # closed-form gradients cross-checked against stencil derivatives
         for fam in ALL_FAMILIES:
             grid = family_grid(fam, h=1 / 64)
-            rho = rho_family(grid, fam)
+            rho = grid.field(fam.rho)
             inner = grid.interior_mask(2)
             gx, gy = fam.rho_grad(grid.x[inner], grid.y[inner])
             assert abs(rho.partial(1).data[inner] - gx).max() <= 3000.0 * grid.h**2

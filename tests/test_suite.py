@@ -144,14 +144,15 @@ class TestRunVerify:
     def test_stream_keeps_no_field(self, monkeypatch):
         # run_verify holds one condition field at a time: each field the
         # stream yields is dead when banded_norms asks for the next pair, and
-        # each A_i is dead when A_{i+1} is evaluated
+        # each A_i and w_i of the (6.R) walk are dead when A_{i+1} is evaluated
         import weakref
 
         from bitime import suite
-        from bitime.systems import QuasiLinearSystem
+        from bitime.systems import ForwardPass, QuasiLinearSystem
 
-        stream, matrix = suite._residual_fields, QuasiLinearSystem.matrix
+        stream, matrix, walk = suite._residual_fields, QuasiLinearSystem.matrix, ForwardPass.__iter__
         fields, alive_at_ask, matrices, alive_at_matrix = [], [], [], []
+        rhs, rhs_alive_at_matrix = [], []
 
         class Watched:
             def __init__(self, pairs):
@@ -166,8 +167,21 @@ class TestRunVerify:
                 fields.append(weakref.ref(f.data))
                 return name, f
 
+        class Steps:
+            def __init__(self, steps):
+                self.steps = steps
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                a, w = next(self.steps)
+                rhs.append(weakref.ref(w))
+                return a, w
+
         def tracked(self, *args):
             alive_at_matrix.append(sum(ref() is not None for ref in matrices))
+            rhs_alive_at_matrix.append(sum(ref() is not None for ref in rhs))
             a = matrix(self, *args)
             matrices.append(weakref.ref(a))
             return a
@@ -175,12 +189,14 @@ class TestRunVerify:
         monkeypatch.setattr(suite, "_residual_fields",
                             lambda config, grid: Watched(stream(config, grid)))
         monkeypatch.setattr(QuasiLinearSystem, "matrix", tracked)
+        monkeypatch.setattr(ForwardPass, "__iter__", lambda fwd: Steps(walk(fwd)))
         # two bands at this size
         run_verify(RunConfig(h=1 / 256, family="inv_x", perturb_q1=1e-3))
         bands = len(matrices) // 3
-        assert bands == 2 and len(fields) == 14 * bands
+        assert bands == 2 and len(fields) == 14 * bands and len(rhs) == 3 * bands
         assert alive_at_ask == [0] * (15 * bands)
         assert alive_at_matrix == [0] * (3 * bands)
+        assert rhs_alive_at_matrix == [0] * (3 * bands)
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
     def test_peak_memory_bound(self, family):
@@ -257,6 +273,19 @@ class TestRunConvergence:
     def test_non_halving_rejected(self):
         with pytest.raises(ValueError, match="halve"):
             run_convergence(FAST, [1 / 32, 1 / 48])
+
+    def test_over_budget_refused_before_any_grid(self, monkeypatch):
+        # only the finest spacing is over the lattice budget; it is refused
+        # before the coarser grids are built or walked
+        from bitime import suite
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the spacings were checked")
+
+        monkeypatch.setattr(suite, "_residual_fields", refuse)
+        monkeypatch.setattr(suite, "build_disc_grid", refuse)
+        with pytest.raises(ValueError, match="lattice points"):
+            run_convergence(FAST, [2.0 ** -k for k in range(4, 12)])
 
 
 class TestWriteFields:
