@@ -16,8 +16,8 @@ adjacent in node order, so the centered y difference is one subtraction of
 two slices; the centered x difference gathers through two index vectors;
 the one-sided stencils overwrite the edge nodes through index triples.
 
-Residual norms over a fine grid are taken band by band (`walk_bands`,
-`banded_norms`): each band of lattice columns carries a halo wide enough
+Residual norms over a fine grid are taken band by band, by the one fold
+`banded_norms`: each band of lattice columns carries a halo wide enough
 that its core nodes see the whole grid's stencils, and is a lattice of its
 own columns only, so the peak memory of a check follows the band size
 rather than the node count.
@@ -45,7 +45,6 @@ __all__ = [
     "build_disc_grid",
     "partial",
     "boundary_samples",
-    "walk_bands",
     "banded_norms",
     "write_csv",
 ]
@@ -105,7 +104,7 @@ _MAX_LATTICE_POINTS = 5_000_000
 # Rows per output block in write_csv.
 _CSV_BLOCK_ROWS = 2048
 
-# Most core nodes per band in `walk_bands`, and the columns each band
+# Most core nodes per band in `banded_norms`, and the columns each band
 # carries beyond its core on either side: every stencil reads at most two
 # columns to each side, so two nested x-derivatives reach four.  Beyond its
 # halo a band's lattice has two empty columns on either side, as the whole
@@ -237,13 +236,6 @@ class DiscGrid:
                          self.lattice_y),
                 slice(int(lo - starts[c0]), int(hi - starts[c0])))
 
-    def node_index(self, x, y) -> np.ndarray:
-        """The node numbers of the points (x, y), which must be nodes."""
-        i = np.rint((x - self.lattice_x[0]) / self.h).astype(int)
-        j = np.rint((y - self.lattice_y[0]) / self.h).astype(int)
-        # nodes are in row-major lattice order, so their flat lattice indices are sorted
-        return np.searchsorted(np.flatnonzero(self.mask), np.ravel_multi_index((i, j), self.shape))
-
     def on_mask(self, f: Callable, what: str = "closed form"):
         """f(x, y) with the node coordinates as 1-d arrays.
 
@@ -311,8 +303,9 @@ def build_disc_grid(h: float, margin: float | None = None,
     """
     _check_spacing(h)
     if margin is None:
+        # from h = 1/2 on this leaves the origin at most: "grid too coarse" below
         margin = 2.0 * h
-    if not 0 <= margin < 1:
+    elif not 0 <= margin < 1:
         raise ValueError("mask margin must satisfy 0 <= margin < 1")
     zones = tuple(zones)
 
@@ -472,25 +465,6 @@ def _pairwise_total(leaf_sums: dict[int, float], lo: int, n: int, size: int) -> 
             + _pairwise_total(leaf_sums, lo + left, right, size))
 
 
-def walk_bands(grid: DiscGrid, max_nodes: int = _BAND_NODES):
-    """The grid one band at a time: (band, core, cut) per band, in node order.
-
-    `band` and `core` are `DiscGrid.band` of the band's node range, whose
-    cores hold at most `max_nodes` nodes each; `cut` lists the (start, stop)
-    ranges of that range over which numpy's pairwise sum over the grid's
-    nodes takes its sums of at most `_SUM_LEAF_NODES` values, for a fold
-    that adds them back up (`banded_norms`).  Bands are cut between those
-    ranges.
-    """
-    leaves = _sum_leaves(0, grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes))
-    while leaves:
-        k = 1
-        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
-            k += 1
-        cut, leaves = leaves[:k], leaves[k:]
-        yield (*grid.band(cut[0][0], cut[-1][1]), cut)
-
-
 def banded_norms(grid: DiscGrid,
                  residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
                  max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
@@ -498,20 +472,29 @@ def banded_norms(grid: DiscGrid,
 
     `residuals` maps a grid to a stream of (name, ScalarField) pairs, the
     same names in the same order on every grid, and must build fields of
-    the kind `DiscGrid.band` keeps exact.  It runs on one band of
-    `walk_bands` at a time.  Each pair is folded into its name's max and
-    sums as it arrives, and dropped before the next is asked for: a stream
-    that keeps no reference to a field it has yielded has one condition
-    field alive at a time, and the memory a call needs follows `max_nodes`
-    rather than the grid's node count.  Both norms equal
-    `ScalarField.max_norm` and `l2_norm` on the whole grid bit for bit: the
-    sums of squares are taken over the ranges numpy's pairwise sum splits
-    the nodes into, and added back up in its order.
+    the kind `DiscGrid.band` keeps exact.  It runs on one band at a time:
+    `DiscGrid.band` of a node range whose core holds at most `max_nodes`
+    nodes, cut between the ranges over which numpy's pairwise sum over the
+    grid's nodes takes its sums of at most `_SUM_LEAF_NODES` values.  Each
+    pair is folded into its name's max and the sums of those ranges as it
+    arrives, and dropped before the next is asked for: a stream that keeps
+    no reference to a field it has yielded has one condition field alive at
+    a time, and the memory a call needs follows `max_nodes` rather than the
+    grid's node count.  Both norms equal `ScalarField.max_norm` and
+    `l2_norm` on the whole grid bit for bit, the range sums being added
+    back up in numpy's order.
     """
+    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
+    leaves = _sum_leaves(0, n, size)
     peak: dict[str, float] = {}
     leaf_sums: dict[str, dict[int, float]] = {}
-    for band, core, cut in walk_bands(grid, max_nodes):
+    while leaves:
+        k = 1
+        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
+            k += 1
+        cut, leaves = leaves[:k], leaves[k:]
         lo = cut[0][0]
+        band, core = grid.band(lo, cut[-1][1])
         for name, f in residuals(band):
             v = f.data[core]
             peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
@@ -520,7 +503,6 @@ def banded_norms(grid: DiscGrid,
                 w = v[start - lo:stop - lo]
                 sums[start] = float((w * w).sum())
             del f, v, w  # the field dies before the stream computes the next one
-    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
     return {name: (peak[name], math.sqrt(_pairwise_total(leaf_sums[name], 0, n, size)
                                          * grid.h**2))
             for name in peak}

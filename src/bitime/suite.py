@@ -28,12 +28,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import (DiscGrid, ScalarField, _check_spacing, _finite_real, banded_norms,
-                   boundary_samples, build_disc_grid, walk_bands, write_csv)
+                   boundary_samples, build_disc_grid, write_csv)
 from .integrability import plastic_cic
 from .optimality import stationarity_residual
 from .plastic import (Family, boundary_condition_residual, build_state,
@@ -135,6 +135,7 @@ class RunConfig:
                 raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
         if not 0 < self.h <= 0.25:
             raise ValueError("grid too coarse: h must be in (0, 0.25]")
+        _check_spacing(self.h)
         if not 8 <= self.m <= self._MAX_M:
             raise ValueError(f"need 8 to {self._MAX_M} boundary samples, got {self.m}")
         if self.family not in _COEFF_KEY:
@@ -153,10 +154,8 @@ class RunConfig:
         coeff = getattr(self, _COEFF_KEY[self.family])
         return Family(kind=self.family, coeff=coeff, c0=self.c0, eps0=self.eps0)
 
-    def make_grid(self, h: float | None = None) -> DiscGrid:
-        return build_disc_grid(h if h is not None else self.h,
-                               margin=self.margin,
-                               zones=self.make_family().zones())
+    def make_grid(self) -> DiscGrid:
+        return build_disc_grid(self.h, margin=self.margin, zones=self.make_family().zones())
 
     def tolerance(self, condition: str, h: float) -> float:
         if self.tolerance_c is not None:
@@ -315,16 +314,18 @@ def run_verify(config: RunConfig) -> Report:
 
 
 def run_convergence(config: RunConfig, h_values) -> dict:
-    """Residual norms and h-halving ratios on nodes common to all grids.
+    """Residual max norms and h-halving ratios on nodes common to all grids.
 
     Ratios are measured on the coarsest grid's fully-interior nodes (every
     node whose radius-2 neighbourhood is masked in): those stay centered on
     all finer grids, whereas the one-sided edge set moves with h and makes
-    full-grid max-norm ratios jitter outside [3.5, 4.5].  Each grid is
-    walked band by band (`walk_bands`, the cut `banded_norms` takes): a
-    band's residual stream is folded into the maxima over the common nodes
-    of its core, and a band without one is skipped, so the memory a call
-    needs follows the band size rather than the finest grid's node count.
+    full-grid max-norm ratios jitter outside [3.5, 4.5].  Every spacing is
+    held to `RunConfig`'s rules before any grid is built.  Each grid's
+    residual stream is folded through `banded_norms` with every field set
+    to 0.0 off the common nodes, which each band finds from its node
+    coordinates on the coarsest lattice: a max norm is then the max over
+    the common nodes, and the memory a call needs follows the band size
+    rather than the finest grid's node count.
     """
     hs = [float(h) for h in h_values]
     if len(hs) < 2:
@@ -333,29 +334,30 @@ def run_convergence(config: RunConfig, h_values) -> dict:
         if abs(b - a / 2.0) > 1e-9 * a:
             raise ValueError("h values must halve: got "
                              f"{a:g} followed by {b:g}")
-    for h in hs:  # every lattice within budget before any grid is built
-        _check_spacing(h)
-    coarse = config.make_grid(hs[0])
-    safe = coarse.interior_mask(2)
-    if not safe.any():
+    configs = [replace(config, h=h) for h in hs]
+    coarse = configs[0].make_grid()
+    common_lattice = np.zeros(coarse.shape, dtype=bool)  # coarse lattice point -> common
+    common_lattice[coarse.mask] = coarse.interior_mask(2)
+    if not common_lattice.any():
         raise ValueError(f"the coarsest grid (h = {hs[0]:g}) has no interior node to compare on")
-    xs, ys = coarse.x[safe], coarse.y[safe]
+
+    def on_common_nodes(band: DiscGrid):
+        """The band's residual stream, each field 0.0 off the common nodes."""
+        # node positions in steps of the band's h from the coarse lattice's first point
+        steps = round(coarse.h / band.h)
+        i, di = np.divmod(np.rint((band.x - coarse.lattice_x[0]) / band.h).astype(np.intp), steps)
+        j, dj = np.divmod(np.rint((band.y - coarse.lattice_y[0]) / band.h).astype(np.intp), steps)
+        common = (di == 0) & (dj == 0) & common_lattice[i, j]
+        del i, j, di, dj
+        for name, f in _residual_fields(config, band):
+            f = ScalarField(band, np.where(common, f.data, 0.0))
+            yield name, f
+            del f  # dead before the stream computes the next field
 
     norms: dict[str, list[float]] = {}
-    for grid in itertools.chain([coarse], map(config.make_grid, hs[1:])):
-        common = grid.node_index(xs, ys)  # ascending, as the nodes are in lattice order
-        peak: dict[str, float] = {}
-        for band, core, cut in walk_bands(grid):
-            lo = cut[0][0]
-            k0, k1 = np.searchsorted(common, (lo, cut[-1][1]))
-            if k0 == k1:
-                continue  # no common node in this band
-            at = common[k0:k1] - lo
-            for name, f in _residual_fields(config, band):
-                peak[name] = max(peak.get(name, 0.0), float(np.abs(f.data[core][at]).max()))
-                del f
-        for name, value in peak.items():
-            norms.setdefault(name, []).append(value)
+    for grid in itertools.chain([coarse], (c.make_grid() for c in configs[1:])):
+        for name, (max_norm, _) in banded_norms(grid, on_common_nodes).items():
+            norms.setdefault(name, []).append(max_norm)
 
     rows = []
     for name, ns in norms.items():

@@ -46,6 +46,14 @@ def line_integral(grid, sampler, path, step=None) -> float:
     return total
 
 
+def node_index(grid, x, y) -> np.ndarray:
+    """The node numbers of the points (x, y), which must be nodes of `grid`."""
+    i = np.rint((x - grid.lattice_x[0]) / grid.h).astype(int)
+    j = np.rint((y - grid.lattice_y[0]) / grid.h).astype(int)
+    # nodes are in row-major lattice order, so their flat lattice indices are sorted
+    return np.searchsorted(np.flatnonzero(grid.mask), np.ravel_multi_index((i, j), grid.shape))
+
+
 def counted(sys, calls):
     """`sys` with each A_i and B evaluator adding its calls to `calls["A_i"]`, `calls["B"]`."""
     from bitime.systems import QuasiLinearSystem

@@ -71,10 +71,17 @@ class TestVerify:
         assert result.exit_code == 1
         assert "(27" in result.output
 
-    def test_too_coarse(self, runner):
+    def test_too_coarse(self, runner, tmp_path):
         result = runner.invoke(main, ["verify", "--h", "0.5"])
         assert result.exit_code == 2
         assert "grid too coarse" in result.output + str(result.stderr or "")
+        # the same rule and message for a convergence spacing and a system's
+        # "h", which set no margin (the default 2h margin is 1 at h = 0.5)
+        system = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, "h": 0.5})
+        for args in (["convergence", "--h-values", "0.5,0.25"], ["residuals", system]):
+            result = runner.invoke(main, args)
+            assert_usage_error(result)
+            assert result.stderr.startswith("error: grid too coarse"), result.stderr
 
     def test_bad_config_key(self, runner, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"spacing": 0.1})

@@ -10,7 +10,7 @@ from bitime.grid import (_CSV_BLOCK_ROWS, _MAX_LATTICE_POINTS, AngleField, Exclu
                          ScalarField, banded_norms, boundary_samples, build_disc_grid,
                          partial, write_csv)
 from bitime.plastic import FAMILY_KINDS, Family
-from conftest import line_integral
+from conftest import line_integral, node_index
 
 
 def node_set(grid):
@@ -41,8 +41,10 @@ class TestBuildDiscGrid:
         assert 2053**2 <= _MAX_LATTICE_POINTS
 
     def test_too_coarse(self):
-        with pytest.raises(ValueError, match="grid too coarse"):
-            build_disc_grid(0.4)
+        # from h = 1/2 on, the default 2h margin leaves the origin at most
+        for h in (0.4, 0.5, 0.75):
+            with pytest.raises(ValueError, match="grid too coarse"):
+                build_disc_grid(h)
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):
@@ -69,7 +71,7 @@ class TestBuildDiscGrid:
     def test_node_index(self, grid32):
         # the node numbers of node coordinates, in any order
         k = np.random.default_rng(3).permutation(grid32.n_nodes)
-        assert np.array_equal(grid32.node_index(grid32.x[k], grid32.y[k]), k)
+        assert np.array_equal(node_index(grid32, grid32.x[k], grid32.y[k]), k)
 
     def test_zone_size_must_be_finite_number(self):
         for size in (10**400, float("inf"), float("nan"), "0.1", True, -0.1):
@@ -339,7 +341,7 @@ class TestBands:
         want = np.zeros(band.shape, dtype=bool)
         want[c0 - p0:c1 - p0] = grid.mask[c0:c1]
         assert np.array_equal(band.mask, want)
-        assert np.array_equal(band.node_index(band.x, band.y), np.arange(band.n_nodes))
+        assert np.array_equal(node_index(band, band.x, band.y), np.arange(band.n_nodes))
 
     def test_two_nested_x_derivatives_exact_on_cores(self, family_grid):
         def fields(g):

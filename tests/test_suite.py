@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -244,8 +245,23 @@ class TestRunConvergence:
         config = RunConfig(family=family)
         hs = [1 / 16, 1 / 32, 1 / 64]
         want = run_convergence(config, hs)
-        monkeypatch.setattr(suite, "walk_bands", lambda g: grid.walk_bands(g, 900))
+        monkeypatch.setattr(suite, "banded_norms",
+                            functools.partial(grid.banded_norms, max_nodes=900))
         assert json.dumps(run_convergence(config, hs)) == json.dumps(want)
+
+    def test_one_fold_per_spacing(self, monkeypatch):
+        # each grid's norms come from one banded_norms call, not a loop of its own
+        from bitime import grid, suite
+
+        calls = []
+
+        def record(g, residuals, *args, **kwargs):
+            calls.append(g.h)
+            return grid.banded_norms(g, residuals, *args, **kwargs)
+
+        monkeypatch.setattr(suite, "banded_norms", record)
+        run_convergence(FAST, [1 / 16, 1 / 32, 1 / 64])
+        assert calls == [1 / 16, 1 / 32, 1 / 64]
 
     def test_peak_memory_bound(self):
         # the finest grid is walked in bands: convergence to h = 1/256 peaks
