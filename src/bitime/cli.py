@@ -3,7 +3,10 @@
 Exit codes: 0 all checks pass, 1 a residual exceeds its tolerance,
 2 configuration or usage error.  BITIME_THREADS caps the numeric thread
 pools (it must be set before numpy loads its BLAS backends, which is why
-it is handled at the top of this module).
+it is handled at the top of this module).  On glibc the command group keeps
+freed heap memory for the process (`_keep_heap`), so a band array freed by
+one stage of a walk is reused by the next instead of being returned to the
+OS and faulted back in.
 """
 
 import functools
@@ -21,6 +24,30 @@ import click  # noqa: E402
 
 _CONFIG_ERROR = 2
 _RESIDUAL_ERROR = 1
+
+
+def _keep_heap():
+    """Keep band-sized arrays on the heap and freed heap memory in the process.
+
+    Sets both thresholds: setting the trim threshold alone freezes the mmap
+    threshold at its 128 KiB default, so every band array would be mapped
+    and unmapped.  Does nothing off glibc.  Only the CLI sets this, because
+    it owns its process; library callers keep their process's allocator.
+    """
+    import ctypes
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (ValueError, OSError):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the values glibc's dynamic rule settles at for large blocks on 64-bit
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: DEFAULT_MMAP_THRESHOLD_MAX
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that
 
 
 def _load_json(path):
@@ -110,6 +137,7 @@ class _Commands(click.Group):
 @click.group(cls=_Commands, no_args_is_help=False)
 def main():
     """Verification tool for plane quasi-linear systems and their optimal controls."""
+    _keep_heap()
 
 
 @main.command()

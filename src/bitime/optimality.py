@@ -49,9 +49,11 @@ class CostBundle:
     running: Callable = None
 
     def running_value(self, x, y, states, controls):
+        """X as a fresh float array of the shape of x, which the caller may add into."""
         if self.running is None:
             return np.zeros(np.shape(x))
-        return np.asarray(self.running(x, y, states, controls), dtype=float)
+        value = np.asarray(self.running(x, y, states, controls), dtype=float)
+        return np.broadcast_to(value, np.shape(x)).copy()
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,17 @@ class MultiplierSystem:
 
 def hamiltonian(msys: MultiplierSystem, cost: CostBundle, x, y,
                 states, controls, costates) -> np.ndarray:
-    """H = X + sum_i p^i_beta f_i^beta at a point or over arrays."""
+    """H = X + sum_i p^i_beta f_i^beta at a point or over arrays.
+
+    The terms are added into the running cost in place, p1 f_i^1 then
+    p2 f_i^2, and each f_i is dropped before the next is evaluated.
+    """
     h = cost.running_value(x, y, states, controls)
     for f_i, (p1, p2) in zip(msys.rhs, costates, strict=True):
         f = f_i(x, y, states, controls)
-        h = h + p1 * f[0] + p2 * f[1]
+        h += p1 * f[0]
+        h += p2 * f[1]
+        del f
     return h
 
 

@@ -528,3 +528,99 @@ class TestOptions:
         result = runner.invoke(main, [*command, "--help"])
         assert result.exit_code == 0
         assert result.output.startswith("Usage: ") and result.stderr == ""
+
+
+class TestHeapPolicy:
+    """On glibc the command group keeps band arrays on the heap and freed heap
+    memory in the process; elsewhere it changes nothing."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, with_mallopt=True):
+        import ctypes
+
+        calls, opened = [], []
+
+        class Libc:
+            pass
+
+        libc = Libc()
+        if with_mallopt:
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+            libc.mallopt = mallopt
+
+        def cdll(name, *args, **kwargs):
+            opened.append(name)
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        return libc, calls, opened
+
+    def run_residuals(self, runner, tmp_path):
+        spec = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, "h": 1 / 32})
+        result = runner.invoke(main, ["residuals", spec, "--json"])
+        assert result.exit_code == 0, result.output
+
+    def test_sets_both_thresholds(self, runner, tmp_path, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        libc, calls, _ = self.fake_libc(monkeypatch)
+        self.run_residuals(runner, tmp_path)
+        # the mmap threshold (-3) is set with the trim threshold (-1), never the
+        # trim threshold alone, which would freeze the mmap threshold at 128 KiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert list(libc.mallopt.argtypes) == [ctypes.c_int, ctypes.c_int]
+        assert libc.mallopt.restype is ctypes.c_int
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_not_glibc_does_nothing(self, runner, tmp_path, monkeypatch, error):
+        def confstr(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        _, calls, opened = self.fake_libc(monkeypatch)
+        self.run_residuals(runner, tmp_path)
+        assert calls == [] and opened == []
+
+    def test_no_mallopt_does_nothing(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        libc, _, opened = self.fake_libc(monkeypatch, with_mallopt=False)
+        self.run_residuals(runner, tmp_path)
+        assert opened == [None] and not hasattr(libc, "mallopt")
+
+    def test_repeated_calls_fault_no_pages(self, tmp_path):
+        # a fresh process runs 8 in-process residuals calls at h = 1/128; once
+        # the heap has grown, freed band memory is reused, so calls 3-8 take
+        # almost no minor page faults (about 1,400 per call when glibc trims
+        # the heap and unmaps band arrays)
+        import subprocess
+        import sys
+
+        import bitime
+
+        try:
+            if not os.confstr("CS_GNU_LIBC_VERSION"):
+                pytest.skip("not glibc")
+        except (ValueError, OSError):
+            pytest.skip("not glibc")
+        spec = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, "h": 1 / 128})
+        script = (
+            "import resource, sys\n"
+            "from click.testing import CliRunner\n"
+            "from bitime.cli import main\n"
+            "runner, faults = CliRunner(), []\n"
+            "for _ in range(8):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    result = runner.invoke(main, ['residuals', sys.argv[1], '--json'])\n"
+            "    assert result.exit_code == 0, result.output\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(*faults)\n")
+        src = os.path.dirname(os.path.dirname(bitime.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script, spec], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        faults = [int(n) for n in out.split()]
+        assert len(faults) == 8 and sum(faults[2:]) < 100, faults
