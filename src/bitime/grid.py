@@ -1,7 +1,7 @@
 """Masked Cartesian grid on the unit disc with second-order difference operators.
 
 The grid is a uniform lattice (x, y) = (i*h, j*h) clipped to the disc
-x^2 + y^2 <= (1 - margin)^2, optionally minus exclusion bands around the
+x^2 + y^2 <= (1 - 2h)^2, optionally minus exclusion bands around the
 axes or the origin (needed by solution families with 1/x, 1/y or log
 singularities).  First derivatives use centered stencils wherever both
 neighbours exist and one-sided second-order stencils at the mask edge, so
@@ -33,7 +33,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -132,11 +132,8 @@ class DiscGrid:
     Not meant to be constructed directly; use :func:`build_disc_grid`.
     """
 
-    def __init__(self, h: float, margin: float, zones: Sequence[ExclusionZone],
-                 mask: np.ndarray, lattice_x: np.ndarray, lattice_y: np.ndarray):
+    def __init__(self, h: float, mask: np.ndarray, lattice_x: np.ndarray, lattice_y: np.ndarray):
         self.h = float(h)
-        self.margin = float(margin)
-        self.zones = tuple(zones)
         self.mask = mask
         # 1-d coordinates of the lattice columns (x) and rows (y)
         self.lattice_x, self.lattice_y = lattice_x, lattice_y
@@ -232,8 +229,7 @@ class DiscGrid:
         p0, p1 = max(c0 - _PAD_COLUMNS, 0), min(c1 + _PAD_COLUMNS, self.shape[0])
         mask = np.zeros((p1 - p0, self.shape[1]), dtype=bool)
         mask[c0 - p0:c1 - p0] = self.mask[c0:c1]
-        return (DiscGrid(self.h, self.margin, self.zones, mask, self.lattice_x[p0:p1],
-                         self.lattice_y),
+        return (DiscGrid(self.h, mask, self.lattice_x[p0:p1], self.lattice_y),
                 slice(int(lo - starts[c0]), int(hi - starts[c0])))
 
     def on_mask(self, f: Callable, what: str = "closed form"):
@@ -293,26 +289,20 @@ def _check_spacing(h: float) -> None:
                          f"points, more than the limit of {_MAX_LATTICE_POINTS}")
 
 
-def build_disc_grid(h: float, margin: float | None = None,
-                    zones: Iterable[ExclusionZone] = ()) -> DiscGrid:
-    """Build the masked lattice.
+def build_disc_grid(h: float, zones: Iterable[ExclusionZone] = ()) -> DiscGrid:
+    """Build the masked lattice on the disc of radius 1 - 2h, minus `zones`.
 
-    margin defaults to 2h so that the retained nodes sit at least two cells
-    inside the unit circle.  Nodes that cannot host any second-order stencil
-    on some axis are pruned until the mask is self-consistent.
+    The 2h margin keeps every node two cells inside the unit circle (from
+    h = 1/2 on it leaves the origin at most: "grid too coarse").  Nodes that
+    cannot host any second-order stencil on some axis are pruned until the
+    mask is self-consistent.
     """
     _check_spacing(h)
-    if margin is None:
-        # from h = 1/2 on this leaves the origin at most: "grid too coarse" below
-        margin = 2.0 * h
-    elif not 0 <= margin < 1:
-        raise ValueError("mask margin must satisfy 0 <= margin < 1")
-    zones = tuple(zones)
 
     m_half = int(math.floor(1.0 / h)) + 2  # two padding rings outside the disc
     coords = np.arange(-m_half, m_half + 1) * h
     X, Y = coords[:, None], coords[None, :]
-    mask = X * X + Y * Y <= (1.0 - margin) ** 2 + 1e-12
+    mask = X * X + Y * Y <= (1.0 - 2.0 * h) ** 2 + 1e-12
     for z in zones:
         mask &= ~z.excludes(X, Y)
 
@@ -328,7 +318,7 @@ def build_disc_grid(h: float, margin: float | None = None,
 
     if mask.sum() < 9:
         raise ValueError("grid too coarse")
-    return DiscGrid(h, margin, zones, mask, coords, coords)
+    return DiscGrid(h, mask, coords, coords)
 
 
 class ScalarField:
@@ -362,16 +352,10 @@ class ScalarField:
     def __sub__(self, other):
         return ScalarField(self.grid, self.data - _data_of(other))
 
-    def __rsub__(self, other):
-        return ScalarField(self.grid, _data_of(other) - self.data)
-
     def __mul__(self, other):
         return ScalarField(self.grid, self.data * _data_of(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.data)
 
 
 def _data_of(x):

@@ -1,8 +1,9 @@
 """End-to-end verification suite over the plastic closed forms.
 
 `run_verify` evaluates every checkable condition of the example problem on
-one grid and reports pass/fail per condition.  Conditions are named after
-the equations they discretise:
+one grid, the disc of radius 1 - 2h minus the family's exclusion zones, and
+reports pass/fail per condition.  Conditions are named after the equations
+they discretise:
 
   (7.1) (7.2)   stress equilibrium rows          O(h^2)
   (7.3)         yield identity                   exact (1e-12)
@@ -17,7 +18,7 @@ the equations they discretise:
 Tolerance model: O(h^2) conditions use C * h^2.  The generic default is
 C = 10, but the raw (unnormalised) residuals of the singular families carry
 much larger constants, so the defaults are calibrated per condition and
-family (DEFAULT_TOLERANCE_C, see the margin stated there); a config
+family (DEFAULT_TOLERANCE_C, see the headroom stated there); a config
 `tolerance_c` overrides them globally.
 """
 
@@ -28,7 +29,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _EXACT_TOL = 1e-12
+_EXACT_STATUS = f"exact (<={_EXACT_TOL:g})"
 
 _COEFF_KEY = {"quadratic": "alpha", "inv_x": "beta", "inv_y": "gamma", "constant": "delta"}
 
@@ -99,10 +101,12 @@ DEFAULT_TOLERANCE_C = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Suite configuration; every field has a default so `verify` runs bare."""
+    """Suite configuration; every field has a default so `verify` runs bare.
+
+    Its fields are the config keys; the grid's 2h margin is not one.
+    """
 
     h: float = 1.0 / 64.0
-    margin: float | None = None
     eps0: float = 0.1
     m: int = 360
     family: str = "quadratic"
@@ -115,10 +119,8 @@ class RunConfig:
     perturb_q1: float = 0.0
     out: str = "."
 
-    _KEYS = ("h", "margin", "eps0", "m", "family", "alpha", "beta", "gamma",
-             "delta", "c0", "tolerance_c", "perturb_q1", "out")
     _NUMBERS = ("h", "eps0", "alpha", "beta", "gamma", "delta", "c0", "perturb_q1")
-    _OPTIONAL_NUMBERS = ("margin", "tolerance_c")
+    _OPTIONAL_NUMBERS = ("tolerance_c",)
     _MAX_M = 100_000
 
     def __post_init__(self):
@@ -145,7 +147,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - set(cls._KEYS)
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
@@ -155,7 +157,7 @@ class RunConfig:
         return Family(kind=self.family, coeff=coeff, c0=self.c0, eps0=self.eps0)
 
     def make_grid(self) -> DiscGrid:
-        return build_disc_grid(self.h, margin=self.margin, zones=self.make_family().zones())
+        return build_disc_grid(self.h, zones=self.make_family().zones())
 
     def tolerance(self, condition: str, h: float) -> float:
         if self.tolerance_c is not None:
@@ -361,9 +363,9 @@ def run_convergence(config: RunConfig, h_values) -> dict:
 
     rows = []
     for name, ns in norms.items():
-        if max(ns) <= 1e-12:
+        if max(ns) <= _EXACT_TOL:
             rows.append({"condition": name, "h": hs, "max_norms": ns,
-                         "ratios": [], "status": "exact (<=1e-12)"})
+                         "ratios": [], "status": _EXACT_STATUS})
             continue
         ratios = [ns[k] / ns[k + 1] if ns[k + 1] > 0 else math.inf
                   for k in range(len(ns) - 1)]
@@ -372,7 +374,7 @@ def run_convergence(config: RunConfig, h_values) -> dict:
                      "ratios": ratios,
                      "status": "ok" if ok else "ratio outside [3.5, 4.5]"})
     return {"family": config.family, "h": hs, "rows": rows,
-            "passed": all(r["status"] in ("ok", "exact (<=1e-12)") for r in rows)}
+            "passed": all(r["status"] in ("ok", _EXACT_STATUS) for r in rows)}
 
 
 def write_fields(config: RunConfig, out_dir: str | None = None) -> list[str]:

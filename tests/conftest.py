@@ -17,18 +17,20 @@ def grid64():
     return build_disc_grid(1.0 / 64.0)
 
 
-def line_integral(grid, sampler, path, step=None) -> float:
+def line_integral(grid, sampler, path, zones=(), step=None) -> float:
     """Midpoint-rule integral of v . dl along a polyline inside the grid's region.
 
-    `sampler(x, y)` returns the two components of v (array-capable).
-    Each segment is subdivided to pieces no longer than `step` (default: h).
+    The region is the disc of radius 1 - 2h minus `zones`, the zones the
+    grid was built with.  `sampler(x, y)` returns the two components of v
+    (array-capable).  Each segment is subdivided to pieces no longer than
+    `step` (default: h).
     """
     pts = [tuple(map(float, p)) for p in path]
     if len(pts) < 2:
         raise ValueError("path needs at least two vertices")
     for (px, py) in pts:
-        if (px * px + py * py > (1.0 - grid.margin) ** 2 + 1e-12
-                or any(z.excludes(px, py) for z in grid.zones)):
+        if (px * px + py * py > (1.0 - 2.0 * grid.h) ** 2 + 1e-12
+                or any(z.excludes(px, py) for z in zones)):
             raise ValueError("path leaves domain")
     if step is None:
         step = grid.h

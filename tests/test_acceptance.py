@@ -168,8 +168,8 @@ def test_criterion_06_path_independence():
         end = (0.3, 0.6) if kind == "inv_x" else (-0.3, 0.6)
         way = (0.5, 0.6)
         sampler = lambda x, y: fam.rho_grad(x, y)
-        direct = line_integral(grid, sampler, [start, end])
-        dog_leg = line_integral(grid, sampler, [start, way, end])
+        direct = line_integral(grid, sampler, [start, end], fam.zones())
+        dog_leg = line_integral(grid, sampler, [start, way, end], fam.zones())
         length = (math.dist(start, end) + math.dist(start, way)
                   + math.dist(way, end))
         diff = abs(direct - dog_leg)

@@ -76,7 +76,7 @@ class TestVerify:
         assert result.exit_code == 2
         assert "grid too coarse" in result.output + str(result.stderr or "")
         # the same rule and message for a convergence spacing and a system's
-        # "h", which set no margin (the default 2h margin is 1 at h = 0.5)
+        # "h" (the disc of radius 1 - 2h is empty of stencils at h = 0.5)
         system = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, "h": 0.5})
         for args in (["convergence", "--h-values", "0.5,0.25"], ["residuals", system]):
             result = runner.invoke(main, args)
@@ -84,9 +84,12 @@ class TestVerify:
             assert result.stderr.startswith("error: grid too coarse"), result.stderr
 
     def test_bad_config_key(self, runner, tmp_path):
-        cfg = write_json(tmp_path / "c.json", {"spacing": 0.1})
-        result = runner.invoke(main, ["verify", "--config", cfg])
-        assert result.exit_code == 2
+        # "margin" is no key: the grid's 2h margin is a constant
+        for key in ("spacing", "margin"):
+            cfg = write_json(tmp_path / "c.json", {key: 0.1})
+            result = runner.invoke(main, ["verify", "--config", cfg])
+            assert_usage_error(result)
+            assert result.stderr == f"error: unknown config keys: ['{key}']\n"
 
     def test_missing_config_file(self, runner):
         result = runner.invoke(main, ["verify", "--config", "/nonexistent.json"])
@@ -103,7 +106,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "fields", "convergence"])
     @pytest.mark.parametrize("cfg", [{"alpha": "abc"}, {"eps0": "0.1"}, {"perturb_q1": "x"},
-                                     {"c0": None}, {"margin": "0"}, {"m": 100_000_000_000}])
+                                     {"c0": None}, {"gamma": True}, {"m": 100_000_000_000}])
     def test_config_values_rejected(self, runner, tmp_path, command, cfg):
         path = write_json(tmp_path / "c.json", cfg)
         assert_usage_error(runner.invoke(main, [command, "--config", path,
@@ -437,7 +440,7 @@ class TestConvergence:
         assert result.exit_code == 2
 
     def test_no_interior_node(self, runner, tmp_path):
-        cfg = write_json(tmp_path / "c.json", {"family": "inv_x", "eps0": 0.4, "margin": 0.1})
+        cfg = write_json(tmp_path / "c.json", {"family": "inv_x", "eps0": 0.3})
         result = runner.invoke(main, ["convergence", "--config", cfg,
                                       "--h-values", "1/8,1/16"])
         assert_usage_error(result)

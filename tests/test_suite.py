@@ -39,7 +39,7 @@ class TestRunConfig:
             RunConfig.from_dict({"h": h})
 
     @pytest.mark.parametrize("cfg", [{"alpha": "abc"}, {"eps0": "0.1"}, {"perturb_q1": "x"},
-                                     {"c0": None}, {"margin": "0"}, {"tolerance_c": "1"},
+                                     {"c0": None}, {"gamma": True}, {"tolerance_c": "1"},
                                      {"beta": float("nan")}, {"delta": float("inf")}])
     def test_numbers_type_checked(self, cfg):
         key = next(iter(cfg))
@@ -67,6 +67,9 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"spacing": 0.1})
+        # the grid's 2h margin is a constant, not a key
+        with pytest.raises(ValueError, match=r"unknown config keys: \['margin'\]"):
+            RunConfig.from_dict({"margin": 0.1})
 
     def test_tolerance_override(self):
         cfg = RunConfig(tolerance_c=123.0)
