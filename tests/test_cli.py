@@ -76,7 +76,7 @@ class TestVerify:
         assert result.exit_code == 2
         assert "grid too coarse" in result.output + str(result.stderr or "")
         # the same rule and message for a convergence spacing and a system's
-        # "h" (the disc of radius 1 - 2h is empty of stencils at h = 0.5)
+        # "h" (at h = 0.5 the disc of radius 1 - 2h holds the origin at most)
         system = write_json(tmp_path / "s.json", {**PLASTIC_SYSTEM, "h": 0.5})
         for args in (["convergence", "--h-values", "0.5,0.25"], ["residuals", system]):
             result = runner.invoke(main, args)
