@@ -155,16 +155,16 @@ def verify(config_path, as_json, **flags):
 @_options("--h", "--json")
 def residuals(system_file, h, as_json):
     """Forward and integrability residual norms for a config-defined system."""
-    from .expressions import fields_from_config, grid_from_config, system_from_config
+    from .expressions import field_sampler, grid_from_config, system_from_config
     from .grid import banded_norms
     from .integrability import forward_and_cic
 
     spec = _load_json(system_file)
     sys_def = system_from_config(spec)
     grid = grid_from_config(spec, h)
+    sample = field_sampler(spec)
 
-    norms = banded_norms(grid, lambda band: forward_and_cic(
-        sys_def, band, *fields_from_config(spec, band)))
+    norms = banded_norms(grid, lambda band: forward_and_cic(sys_def, band, *sample(band)))
     # the stream ends with the forward rows; the report lists them first
     rows = [{"condition": name, "max_norm": norms[name][0], "l2_norm": norms[name][1],
              "h": grid.h} for name in sorted(norms, key=lambda name: name.startswith("cic"))]

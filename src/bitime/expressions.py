@@ -31,6 +31,7 @@ __all__ = [
     "ExpressionError",
     "compile_expression",
     "system_from_config",
+    "field_sampler",
     "fields_from_config",
     "grid_from_config",
 ]
@@ -207,13 +208,14 @@ def system_from_config(cfg: dict) -> QuasiLinearSystem:
     return QuasiLinearSystem(a=tuple(make_a(i) for i in range(n)), b=b)
 
 
-def fields_from_config(cfg: dict, grid: DiscGrid):
-    """Sample the config's state_fields / control_fields formulas on a grid.
+def field_sampler(cfg: dict) -> Callable[[DiscGrid], tuple]:
+    """Compile the config's state_fields / control_fields formulas once.
 
-    Formulas are expressions in x and y only; returns (states, controls) as
+    Formulas are expressions in x and y only.  Returns sample(grid), which
+    evaluates them on a grid's nodes and returns (states, controls) as
     ScalarField tuples in declaration order.
     """
-    def build(section, declared):
+    def compiled(section, declared):
         exprs = cfg.get(section, {})
         if not isinstance(exprs, dict):
             raise ExpressionError(f"{section}: must be an object mapping each name to a "
@@ -223,12 +225,22 @@ def fields_from_config(cfg: dict, grid: DiscGrid):
             if name not in exprs:
                 raise ExpressionError(f"missing {section} entry for {name!r}")
             where = f"{section}.{name}"
-            f = _compile_entry(exprs[name], ["x", "y"], where)
-            out.append(grid.field(grid.on_mask(f, where)))
-        return tuple(out)
+            out.append((_compile_entry(exprs[name], ["x", "y"], where), where))
+        return out
 
-    return (build("state_fields", cfg.get("states", [])),
-            build("control_fields", cfg.get("controls", [])))
+    states = compiled("state_fields", cfg.get("states", []))
+    controls = compiled("control_fields", cfg.get("controls", []))
+
+    def sample(grid: DiscGrid):
+        return tuple(tuple(grid.field(grid.on_mask(f, where)) for f, where in section)
+                     for section in (states, controls))
+
+    return sample
+
+
+def fields_from_config(cfg: dict, grid: DiscGrid):
+    """`field_sampler(cfg)` on one grid: (states, controls) as ScalarField tuples."""
+    return field_sampler(cfg)(grid)
 
 
 def grid_from_config(cfg: dict, h: float | None = None) -> DiscGrid:

@@ -45,6 +45,7 @@ __all__ = [
     "build_disc_grid",
     "partial",
     "boundary_samples",
+    "bands",
     "banded_norms",
     "write_csv",
 ]
@@ -101,29 +102,24 @@ class ExclusionZone:
 # 2053^2 = 4.2e6 points.
 _MAX_LATTICE_POINTS = 5_000_000
 
-# Rows per output block in write_csv.
+# Lattice columns per block of the disc test in build_disc_grid.
+_DISC_BLOCK_COLUMNS = 64
+
+# Rows per output block, and distinct values per formatting block, in write_csv.
 _CSV_BLOCK_ROWS = 2048
+_SPELL_BLOCK = 4096
 
 # Most core nodes per band in `banded_norms`, and the columns each band
 # carries beyond its core on either side: every stencil reads at most two
 # columns to each side, so two nested x-derivatives reach four.  Beyond its
 # halo a band's lattice has two empty columns on either side, as the whole
 # lattice has its two padding rings, so no neighbour lookup leaves it.
-_BAND_NODES = 65536
+_BAND_NODES = 32768
 _HALO_COLUMNS = 4
 _PAD_COLUMNS = 2
 # Most values per sum of squares in `banded_norms`; band cores are cut
 # between such ranges.
 _SUM_LEAF_NODES = 4096
-
-
-def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
-    """a shifted by +1, -1, +2, -2 lattice steps along axis: (up1, dn1, up2, dn2).
-
-    Wrap-around from np.roll never reaches a used node: the lattice carries
-    a two-ring padding outside the unit disc that is always masked off.
-    """
-    return tuple(np.roll(a, -k, axis=axis) for k in (1, -1, 2, -2))
 
 
 class DiscGrid:
@@ -289,6 +285,39 @@ def _check_spacing(h: float) -> None:
                          f"points, more than the limit of {_MAX_LATTICE_POINTS}")
 
 
+def _disc(coords: np.ndarray, r2: float, zones: Iterable[ExclusionZone]) -> np.ndarray:
+    """The lattice points (x, y) of `coords` x `coords` with x^2 + y^2 <= r2
+    that no zone excludes, tested a block of lattice columns at a time, so
+    no lattice-sized float array is made."""
+    zones = tuple(zones)
+    mask = np.empty((coords.size, coords.size), dtype=bool)
+    Y = coords[None, :]
+    for i in range(0, coords.size, _DISC_BLOCK_COLUMNS):
+        X, block = coords[i:i + _DISC_BLOCK_COLUMNS, None], mask[i:i + _DISC_BLOCK_COLUMNS]
+        np.less_equal(X * X + Y * Y, r2, out=block)
+        for z in zones:
+            block &= ~z.excludes(X, Y)
+    return mask
+
+
+def _pruned(mask: np.ndarray) -> np.ndarray:
+    """`mask` less the points with no second-order stencil on some axis:
+    neither both neighbours nor two on one side are in `mask`.
+
+    The two padding rings hold no node, so only the points inside them are
+    tested, each axis through slices of the mask.
+    """
+    ok = mask.copy()
+    for m, o in ((mask, ok), (mask.T, ok.T)):  # along x, then along y
+        up1, dn1, up2, dn2 = m[3:-1], m[1:-3], m[4:], m[:-4]
+        usable = up1 & dn1
+        usable |= up1 & up2
+        usable |= dn1 & dn2
+        o[2:-2] &= usable
+        del usable  # not alive while the next axis makes its own
+    return ok
+
+
 def build_disc_grid(h: float, zones: Iterable[ExclusionZone] = ()) -> DiscGrid:
     """Build the masked lattice on the disc of radius 1 - 2h, minus `zones`.
 
@@ -301,18 +330,11 @@ def build_disc_grid(h: float, zones: Iterable[ExclusionZone] = ()) -> DiscGrid:
 
     m_half = int(math.floor(1.0 / h)) + 2  # two padding rings outside the disc
     coords = np.arange(-m_half, m_half + 1) * h
-    X, Y = coords[:, None], coords[None, :]
-    mask = X * X + Y * Y <= (1.0 - 2.0 * h) ** 2 + 1e-12
-    for z in zones:
-        mask &= ~z.excludes(X, Y)
-
+    mask = _disc(coords, (1.0 - 2.0 * h) ** 2 + 1e-12, zones)
     # prune nodes with no usable stencil on some axis, to a fixed point
     while True:
-        ok = mask.copy()
-        for ax in (0, 1):
-            up1, dn1, up2, dn2 = _neighbours(mask, ax)
-            ok &= (up1 & dn1) | (up1 & up2) | (dn1 & dn2)
-        if np.array_equal(ok, mask):
+        ok = _pruned(mask)
+        if np.count_nonzero(ok) == np.count_nonzero(mask):  # ok is a subset of mask
             break
         mask = ok
 
@@ -449,6 +471,24 @@ def _pairwise_total(leaf_sums: dict[int, float], lo: int, n: int, size: int) -> 
             + _pairwise_total(leaf_sums, lo + left, right, size))
 
 
+def bands(grid: DiscGrid, max_nodes: int = _BAND_NODES):
+    """The bands a walk over `grid` takes: (leaves, band, core) for each, in node order.
+
+    `band, core = grid.band(lo, hi)` for a node range lo..hi-1 of at most
+    `max_nodes` nodes, cut between the ranges over which numpy's pairwise
+    sum over the grid's nodes takes its sums of at most `_SUM_LEAF_NODES`
+    values; `leaves` lists those ranges as (start, stop) node numbers, from
+    lo to hi.
+    """
+    leaves = _sum_leaves(0, grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes))
+    while leaves:
+        k = 1
+        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
+            k += 1
+        cut, leaves = leaves[:k], leaves[k:]
+        yield (cut, *grid.band(cut[0][0], cut[-1][1]))
+
+
 def banded_norms(grid: DiscGrid,
                  residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
                  max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
@@ -456,29 +496,19 @@ def banded_norms(grid: DiscGrid,
 
     `residuals` maps a grid to a stream of (name, ScalarField) pairs, the
     same names in the same order on every grid, and must build fields of
-    the kind `DiscGrid.band` keeps exact.  It runs on one band at a time:
-    `DiscGrid.band` of a node range whose core holds at most `max_nodes`
-    nodes, cut between the ranges over which numpy's pairwise sum over the
-    grid's nodes takes its sums of at most `_SUM_LEAF_NODES` values.  Each
-    pair is folded into its name's max and the sums of those ranges as it
-    arrives, and dropped before the next is asked for: a stream that keeps
-    no reference to a field it has yielded has one condition field alive at
-    a time, and the memory a call needs follows `max_nodes` rather than the
-    grid's node count.  Both norms equal `ScalarField.max_norm` and
-    `l2_norm` on the whole grid bit for bit, the range sums being added
-    back up in numpy's order.
+    the kind `DiscGrid.band` keeps exact.  It runs on one band of `bands` at
+    a time.  Each pair is folded into its name's max and the sums of the
+    band's leaf ranges as it arrives, and dropped before the next is asked
+    for: a stream that keeps no reference to a field it has yielded has one
+    condition field alive at a time, and the memory a call needs follows
+    `max_nodes` rather than the grid's node count.  Both norms equal
+    `ScalarField.max_norm` and `l2_norm` on the whole grid bit for bit, the
+    range sums being added back up in numpy's order.
     """
-    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
-    leaves = _sum_leaves(0, n, size)
     peak: dict[str, float] = {}
     leaf_sums: dict[str, dict[int, float]] = {}
-    while leaves:
-        k = 1
-        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
-            k += 1
-        cut, leaves = leaves[:k], leaves[k:]
+    for cut, band, core in bands(grid, max_nodes):
         lo = cut[0][0]
-        band, core = grid.band(lo, cut[-1][1])
         for name, f in residuals(band):
             v = f.data[core]
             peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
@@ -487,39 +517,63 @@ def banded_norms(grid: DiscGrid,
                 w = v[start - lo:stop - lo]
                 sums[start] = float((w * w).sum())
             del f, v, w  # the field dies before the stream computes the next one
+    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
     return {name: (peak[name], math.sqrt(_pairwise_total(leaf_sums[name], 0, n, size)
                                          * grid.h**2))
             for name in peak}
 
 
-def write_csv(path, grid: DiscGrid, columns: dict[str, ScalarField]) -> None:
+def _spellings(values: np.ndarray) -> np.ndarray:
+    """One row of 25 bytes per value: its `%.17g` spelling, space-padded to
+    24 bytes, the longest (as in -2.2250738585072014e-308), then a comma;
+    formatted `_SPELL_BLOCK` values at a time."""
+    out = np.empty((len(values), 25), np.uint8)
+    for start in range(0, len(values), _SPELL_BLOCK):
+        chunk = values[start:start + _SPELL_BLOCK].tolist()
+        text = ("%-24.17g," * len(chunk)) % tuple(chunk)
+        out[start:start + len(chunk)] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 25)
+    return out
+
+
+def _encoded(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(spellings, picks) of a column: the spellings of its distinct float64
+    bit patterns (so -0.0 stays apart from 0.0), and each node's index into
+    them, in uint16 when there are at most 65,536, else int32."""
+    bits, picks = np.unique(values.view(np.int64), return_inverse=True)
+    return (_spellings(bits.view(np.float64)),
+            picks.astype(np.uint16 if len(bits) <= 1 << 16 else np.int32))
+
+
+def write_csv(path, grid: DiscGrid,
+              columns: dict[str, ScalarField] | Iterable[tuple[str, np.ndarray]]) -> None:
     """Write node fields as CSV with 17 significant digits.
 
-    Header is x,y,<names>; rows are ordered row-major by j then i (y, then
-    x) so two runs with the same config are byte-identical.  Each distinct
-    value of a column is formatted once: the column keeps one `%.17g`
-    spelling per float64 bit pattern (so -0.0 stays apart from 0.0) and
-    each row's index into them, and rows are gathered from those spellings
-    a block at a time.  The bytes are those of `%.17g` on every value.
+    `columns` is a {name: field} dict, or (name, values) pairs with one
+    float64 value per node.  Header is x,y,<names>; rows are ordered
+    row-major by j then i (y, then x) so two runs with the same config are
+    byte-identical.  Each distinct value of a column is formatted once
+    (`_encoded`), x and y as the lattice coordinates of the nodes' columns
+    and rows, and rows are gathered from those spellings a block at a time.
+    A column's values are dropped here once it is encoded, so the pairs of a
+    generator that holds none of them once yielded are alive one at a time.
+    The bytes are those of `%.17g` on every value.
     """
-    order = np.lexsort((grid.x, grid.y))
-    cols = [grid.x, grid.y] + [f.data for f in columns.values()]
-    spellings, picks = [], []
-    for c, values in enumerate(cols):
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        # 25 bytes per distinct value: its spelling, space-padded to the longest
-        # (24 characters, as in -2.2250738585072014e-308), then the separator;
-        # the padding is dropped on output
-        cell = "%-24.17g" + ("," if c < len(cols) - 1 else "\n")
-        text = (cell * len(bits)) % tuple(bits.view(np.float64).tolist())
-        spellings.append(np.frombuffer(text.encode(), np.uint8).reshape(-1, 25))
-        picks.append(inverse[order].astype(np.int32))
-    del bits, inverse, text  # not held while the rows are written
+    if isinstance(columns, dict):
+        columns = ((name, f.data) for name, f in columns.items())
+    encoded = [(name, *_encoded(values)) for name, values in columns]
+    i, j = np.divmod(np.flatnonzero(grid.mask), grid.shape[1])  # each node's column and row
+    order = np.lexsort((i, j))
+    encoded = [("x", _spellings(grid.lattice_x), i), ("y", _spellings(grid.lattice_y), j),
+               *encoded]
+    del i, j
+    encoded = [(name, spellings, picks[order]) for name, spellings, picks in encoded]
+    del order
     with open(path, "wb") as fh:
-        fh.write(("x,y," + ",".join(columns) + "\n").encode())
+        fh.write((",".join(name for name, _, _ in encoded) + "\n").encode())
         for start in range(0, grid.n_nodes, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, grid.n_nodes)
-            block = np.empty((stop - start, len(cols), 25), np.uint8)
-            for c, (s, p) in enumerate(zip(spellings, picks)):
-                block[:, c] = s[p[start:stop]]
+            block = np.empty((stop - start, len(encoded), 25), np.uint8)
+            for c, (_, spellings, picks) in enumerate(encoded):
+                block[:, c] = spellings[picks[start:stop]]
+            block[:, -1, 24] = ord("\n")  # the row's last comma
             fh.write(block[block != ord(" ")])

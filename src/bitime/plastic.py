@@ -92,6 +92,19 @@ class Family:
         if not 0 < self.eps0 < 1:
             raise ValueError("family zone size must be in (0, 1)")
 
+    def least_k(self, h: float) -> float:
+        """A lower bound of K on the nodes of a grid at spacing h.
+
+        Quadratic K = a r^2, and a node has r^2 >= eps0^2 - 1e-15 (its
+        zone's test, in the same float arithmetic) and r^2 >= h^2 (the
+        origin is no node: the angle sheet is singular there); 1/x and 1/y
+        exceed their coefficient inside the unit disc, and constant K is its
+        coefficient.
+        """
+        if self.kind == "quadratic":
+            return self.coeff * max(self.eps0**2 - 1e-15, h * h)
+        return self.coeff
+
     def zones(self) -> tuple[ExclusionZone, ...]:
         if self.kind == "inv_x":
             return (ExclusionZone("half_x", self.eps0),)

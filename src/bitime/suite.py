@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .grid import (DiscGrid, ScalarField, _check_spacing, _finite_real, banded_norms,
+from .grid import (DiscGrid, ScalarField, _check_spacing, _finite_real, banded_norms, bands,
                    boundary_samples, build_disc_grid, write_csv)
 from .integrability import plastic_cic
 from .optimality import stationarity_residual
@@ -57,6 +57,9 @@ __all__ = [
 
 _EXACT_TOL = 1e-12
 _EXACT_STATUS = f"exact (<={_EXACT_TOL:g})"
+
+# The least K a grid may hold: the smallest normal float64.
+_K_FLOOR = float(np.finfo(np.float64).tiny)
 
 _COEFF_KEY = {"quadratic": "alpha", "inv_x": "beta", "inv_y": "gamma", "constant": "delta"}
 
@@ -144,6 +147,11 @@ class RunConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.tolerance_c is not None and self.tolerance_c <= 0:
             raise ValueError("tolerance constant must be positive")
+        # a subnormal K loses its digits, and the closed forms divide by it
+        if self.make_family().least_k(self.h) < _K_FLOOR:
+            key = _COEFF_KEY[self.family]
+            raise ValueError(f"{key} = {getattr(self, key):g} is too small: K can fall below "
+                             f"the smallest normal float64 ({_K_FLOOR:g}) on the grid")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -377,34 +385,60 @@ def run_convergence(config: RunConfig, h_values) -> dict:
             "passed": all(r["status"] in ("ok", _EXACT_STATUS) for r in rows)}
 
 
+def _banded_columns(grid: DiscGrid, columns):
+    """(name, values on the grid's nodes) of each (name, field) pair that
+    `columns(band)` yields, filled band by band over `bands`.
+
+    Each band's core values go into one whole-grid float64 column per name,
+    and each field dies once copied; so, beyond the columns, the memory a
+    call needs follows the band size.  Every column is computed before the
+    first is yielded, and none is held here once yielded.
+    """
+    out: dict[str, np.ndarray] = {}
+    for cut, band, core in bands(grid):
+        nodes = slice(cut[0][0], cut[-1][1])
+        for name, f in columns(band):
+            out.setdefault(name, np.empty(grid.n_nodes))[nodes] = f.data[core]
+            del f  # dead before the stream computes the next field
+    del band, core  # the last band's coordinates and taps die before the columns are encoded
+    while out:
+        name = next(iter(out))
+        yield name, out.pop(name)
+
+
 def write_fields(config: RunConfig, out_dir: str | None = None) -> list[str]:
     """Export state/stress, costate, and residual fields as CSV files.
 
-    Each file is written from its own fields, which die before the next
-    file's are computed: the state and stress, then the costates (both
-    closed-form samples), then the residual stream, collected whole because
-    a CSV row holds every condition.
+    Each file's columns are computed band by band (`_banded_columns`) and
+    written before the next file's are: the state and stress, then the
+    costates (both closed-form samples), then the residual stream.  The
+    whole grid builds neither node coordinates nor stencil taps: `write_csv`
+    spells x and y from the lattice.
     """
     out_dir = out_dir or config.out
     os.makedirs(out_dir, exist_ok=True)
     grid = config.make_grid()
+    family = config.make_family()
 
-    paths = [os.path.join(out_dir, name)
-             for name in ("stress.csv", "costates.csv", "residuals.csv")]
-    state = build_state(grid, config.make_family())
-    stress = stress_from_polar(state)
-    write_csv(paths[0], grid, {
-        "sxx": stress.sxx, "syy": stress.syy, "sxy": stress.sxy,
-        "rho": state.rho, "K": state.k,
-        "cphi": state.phi.c, "sphi": state.phi.s,
-    })
-    del state, stress
+    def state_columns(band):
+        state = build_state(band, family)
+        stress = stress_from_polar(state)
+        return _each(("sxx", "syy", "sxy", "rho", "K", "cphi", "sphi"),
+                     (stress.sxx, stress.syy, stress.sxy, state.rho, state.k,
+                      state.phi.c, state.phi.s))
 
-    (p1, p2), (r1, r2), (q1, q2) = costate_bundle_star(grid, config.perturb_q1).components
-    write_csv(paths[1], grid, {"p1": p1, "p2": p2, "r1": r1, "r2": r2, "q1": q1, "q2": q2})
-    del p1, p2, r1, r2, q1, q2
+    def costate_columns(band):
+        (p1, p2), (r1, r2), (q1, q2) = costate_bundle_star(band, config.perturb_q1).components
+        return _each(("p1", "p2", "r1", "r2", "q1", "q2"), (p1, p2, r1, r2, q1, q2))
 
-    write_csv(paths[2], grid,
-              {name.strip("()").replace(".", "_").replace("-", "_"): f
-               for name, f in _residual_fields(config, grid)})
+    def residual_columns(band):
+        for name, f in _residual_fields(config, band):
+            yield name.strip("()").replace(".", "_").replace("-", "_"), f
+            del f  # dead before the stream computes the next field
+
+    paths = []
+    for name, columns in (("stress.csv", state_columns), ("costates.csv", costate_columns),
+                          ("residuals.csv", residual_columns)):
+        paths.append(os.path.join(out_dir, name))
+        write_csv(paths[-1], grid, _banded_columns(grid, columns))
     return paths

@@ -17,6 +17,25 @@ def grid64():
     return build_disc_grid(1.0 / 64.0)
 
 
+def reference_disc_mask(h, zones=()) -> np.ndarray:
+    """`build_disc_grid`'s mask as it was first built: the disc test on the whole
+    lattice at once, and pruning through np.roll copies of the mask."""
+    m_half = int(math.floor(1.0 / h)) + 2
+    coords = np.arange(-m_half, m_half + 1) * h
+    X, Y = coords[:, None], coords[None, :]
+    mask = X * X + Y * Y <= (1.0 - 2.0 * h) ** 2 + 1e-12
+    for z in zones:
+        mask &= ~z.excludes(X, Y)
+    while True:
+        ok = mask.copy()
+        for ax in (0, 1):
+            up1, dn1, up2, dn2 = (np.roll(mask, -k, axis=ax) for k in (1, -1, 2, -2))
+            ok &= (up1 & dn1) | (up1 & up2) | (dn1 & dn2)
+        if np.array_equal(ok, mask):
+            return mask
+        mask = ok
+
+
 def line_integral(grid, sampler, path, zones=(), step=None) -> float:
     """Midpoint-rule integral of v . dl along a polyline inside the grid's region.
 

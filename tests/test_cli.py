@@ -142,6 +142,15 @@ class TestVerify:
         assert_usage_error(runner.invoke(main, [command, "--config", path,
                                                 *out_flag(command, tmp_path)]))
 
+    @pytest.mark.parametrize("flags", [["--family", "constant", "--delta", "1e-308"],
+                                       ["--family", "quadratic", "--alpha", "1e-307"],
+                                       ["--family", "inv_x", "--beta", "1e-308"]])
+    def test_coefficient_below_floor_named(self, runner, flags):
+        # refused before any grid, by the key, not by an arithmetic error
+        result = runner.invoke(main, ["verify", "--h", "1/32", *flags])
+        assert_usage_error(result)
+        assert result.stderr.startswith(f"error: {flags[2][2:]} = ")
+
     def test_family_flag(self, runner):
         result = runner.invoke(main, ["verify", "--h", "1/32",
                                       "--family", "constant", "--delta", "2.0"])
@@ -206,6 +215,31 @@ class TestResiduals:
         assert result.exit_code == 0, result.output
         assert calls == {"A_1": 1, "A_2": 1, "A_3": 1, "B": 1}
 
+    def test_formulas_compiled_once(self, runner, tmp_path, monkeypatch):
+        # many bands compile each entry and field formula once, as one band does
+        import functools
+        from collections import Counter
+
+        from bitime import expressions, grid
+
+        spec = write_json(tmp_path / "p.json", PLASTIC_SYSTEM)
+        counts = []
+        for max_nodes in (grid._BAND_NODES, 900):
+            calls = Counter()
+
+            def counting(src, names, calls=calls, compile_=expressions.compile_expression):
+                calls[src] += 1
+                return compile_(src, names)
+
+            monkeypatch.setattr(expressions, "compile_expression", counting)
+            monkeypatch.setattr(grid, "banded_norms",
+                                functools.partial(grid.banded_norms, max_nodes=max_nodes))
+            result = runner.invoke(main, ["residuals", spec])
+            assert result.exit_code == 0, result.output
+            monkeypatch.undo()
+            counts.append(calls)
+        assert counts[1] == counts[0] and counts[0]["1/x"] == 2  # rho and K
+
     @pytest.mark.parametrize("as_json", [[], ["--json"]])
     def test_small_bands_same_output(self, runner, tmp_path, monkeypatch, as_json):
         # bands of at most 900 nodes print the one-band report byte for byte,
@@ -226,13 +260,14 @@ class TestResiduals:
 
     def test_peak_memory_per_state(self, tmp_path):
         # the stream holds one condition at a time, so a state adds about one
-        # field-sized array (its sample) to the traced peak: about 1.01
-        # measured from 2 to 20 identity-A states at h = 1/128, one band (2.01
-        # when each band collected every cic.i)
+        # array the size of the largest band (its sample) to the traced peak:
+        # about 1.02 measured from 2 to 20 identity-A states at h = 1/128, two
+        # bands (2.01 when each band collected every cic.i)
         import gc
         import tracemalloc
 
         from bitime.expressions import grid_from_config
+        from bitime.grid import bands
 
         def system(n):
             names = [f"s{i + 1}" for i in range(n)]
@@ -253,7 +288,7 @@ class TestResiduals:
             finally:
                 tracemalloc.stop()
             assert result.exit_code == 0, result.output
-        field = grid_from_config(system(2)).n_nodes * 8
+        field = max(band.n_nodes for _, band, _ in bands(grid_from_config(system(2)))) * 8
         assert peaks[20] - peaks[2] <= 1.25 * 18 * field, (peaks[20] - peaks[2]) / (18 * field)
 
     @pytest.mark.parametrize("h", BAD_H)

@@ -10,7 +10,7 @@ from bitime.grid import (_CSV_BLOCK_ROWS, _MAX_LATTICE_POINTS, AngleField, Exclu
                          ScalarField, banded_norms, boundary_samples, build_disc_grid,
                          partial, write_csv)
 from bitime.plastic import FAMILY_KINDS, Family
-from conftest import line_integral, node_index
+from conftest import line_integral, node_index, reference_disc_mask
 
 
 def node_set(grid):
@@ -35,6 +35,35 @@ class TestBuildDiscGrid:
     def test_exclusion_zone(self):
         grid = build_disc_grid(1 / 64, zones=[ExclusionZone("abs_x", 0.1)])
         assert np.all(np.abs(grid.x) >= 0.1 - 1e-12)
+
+    @pytest.mark.parametrize("h", [1 / 32, 1 / 128, 1 / 512])
+    @pytest.mark.parametrize("zones", [(), *[(ExclusionZone(kind, 0.1),)
+                                            for kind in ExclusionZone._KINDS],
+                                       (ExclusionZone("abs_x", 0.05),
+                                        ExclusionZone("origin", 0.3))])
+    def test_mask_matches_whole_lattice_build(self, h, zones):
+        # the disc test in column blocks and the pruning by slices give the
+        # mask of the whole-lattice build with rolled copies, bit for bit
+        # (zones may come as any iterable, read once)
+        assert np.array_equal(build_disc_grid(h, iter(zones)).mask,
+                              reference_disc_mask(h, zones))
+
+    def test_build_makes_no_lattice_sized_float(self):
+        # at h = 1/512 a float64 lattice is 8.5 MB; the build's traced peak
+        # stays within five boolean lattices (4.02 measured; the whole-lattice
+        # disc test and rolled pruning took 10.0)
+        import gc
+        import tracemalloc
+
+        h = 1 / 512
+        gc.collect()
+        tracemalloc.start()
+        try:
+            grid = build_disc_grid(h, (ExclusionZone("origin", 0.1),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * grid.mask.size, peak / grid.mask.size
 
     def test_lattice_budget(self):
         # refused from h alone, before any array is allocated

@@ -64,6 +64,31 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown family"):
             RunConfig(family="cubic")
 
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_coefficient_floor(self, family):
+        # K must stay a normal float64 on the grid: the least coefficient that
+        # keeps its bound there passes verify under the command's
+        # floating-point policy, the next float below is refused by its key,
+        # and 1e-300 passes for every family
+        from bitime.plastic import Family
+
+        tiny = np.finfo(np.float64).tiny
+        key = {"quadratic": "alpha", "inv_x": "beta", "inv_y": "gamma",
+               "constant": "delta"}[family]
+        least = tiny / Family(family, 1.0).least_k(1 / 32)
+        while Family(family, least).least_k(1 / 32) < tiny:
+            least = np.nextafter(least, 1.0)
+        while Family(family, np.nextafter(least, 0.0)).least_k(1 / 32) >= tiny:
+            least = np.nextafter(least, 0.0)
+        config = RunConfig(h=1 / 32, family=family, **{key: float(least)})
+        grid = config.make_grid()
+        assert config.make_family().k(grid.x, grid.y).min() >= tiny
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            assert run_verify(config).passed
+        with pytest.raises(ValueError, match=f"^{key} = .* is too small: K can fall below"):
+            RunConfig(h=1 / 32, family=family, **{key: float(np.nextafter(least, 0.0))})
+        RunConfig(h=1 / 512, family=family, **{key: 1e-300})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"spacing": 0.1})
@@ -194,24 +219,27 @@ class TestRunVerify:
                             lambda config, grid: Watched(stream(config, grid)))
         monkeypatch.setattr(QuasiLinearSystem, "matrix", tracked)
         monkeypatch.setattr(ForwardPass, "__iter__", lambda fwd: Steps(walk(fwd)))
-        # two bands at this size
+        # three bands at this size
         run_verify(RunConfig(h=1 / 256, family="inv_x", perturb_q1=1e-3))
         bands = len(matrices) // 3
-        assert bands == 2 and len(fields) == 14 * bands and len(rhs) == 3 * bands
+        assert bands == 3 and len(fields) == 14 * bands and len(rhs) == 3 * bands
         assert alive_at_ask == [0] * (15 * bands)
         assert alive_at_matrix == [0] * (3 * bands)
         assert rhs_alive_at_matrix == [0] * (3 * bands)
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
     def test_peak_memory_bound(self, family):
-        # every family is one band at h = 1/128; a verify's traced peak stays
-        # within 28 field-sized arrays (25.4-26.8 measured; the Hamiltonian
-        # built by fresh sums took 27.4-28.8)
+        # a verify's traced peak follows its largest band: it stays within 28
+        # arrays of that band's node count (26.8 measured at h = 1/128, where
+        # quadratic and constant take two bands and inv_x and inv_y one; the
+        # Hamiltonian built by fresh sums took 27.4-28.8)
         import gc
         import tracemalloc
 
+        from bitime.grid import bands
+
         config = RunConfig(h=1 / 128, family=family)
-        n_nodes = config.make_grid().n_nodes
+        largest = max(band.n_nodes for _, band, _ in bands(config.make_grid()))
         gc.collect()
         tracemalloc.start()
         try:
@@ -219,7 +247,7 @@ class TestRunVerify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * n_nodes * 8, peak / (n_nodes * 8)
+        assert peak <= 28 * largest * 8, peak / (largest * 8)
 
     def test_corrupted_costate_fails_27(self):
         report = run_verify(RunConfig(h=1 / 32, perturb_q1=0.1))
@@ -332,6 +360,7 @@ class TestWriteFields:
         written = []
 
         def record(path, grid, columns):
+            columns = list(columns)
             written.append((path, grid, columns))
             write_csv(path, grid, columns)
 
@@ -342,8 +371,47 @@ class TestWriteFields:
         for path, grid, columns in written:
             # an independent writer: one value at a time, rows sorted by (y, x)
             order = sorted(range(grid.n_nodes), key=lambda k: (grid.y[k], grid.x[k]))
-            data = [grid.x, grid.y] + [f.data for f in columns.values()]
-            lines = ["x,y," + ",".join(columns)]
+            data = [grid.x, grid.y] + [values for _, values in columns]
+            lines = ["x,y," + ",".join(name for name, _ in columns)]
             lines += [",".join("%.17g" % float(v[k]) for v in data) for k in order]
             with open(path, "rb") as fh:
                 assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_small_bands_same_files(self, tmp_path, monkeypatch, family):
+        # the columns are filled band by band; bands of at most 900 nodes
+        # write the one-band files byte for byte
+        from bitime import grid, suite
+
+        config = RunConfig(h=1 / 32, family=family, perturb_q1=1e-3)
+        want = [open(p, "rb").read() for p in write_fields(config, str(tmp_path / "one"))]
+        walked = []
+
+        def small_bands(g):
+            for cut, band, core in grid.bands(g, max_nodes=900):
+                walked.append(cut[-1][1] - cut[0][0])
+                yield cut, band, core
+
+        monkeypatch.setattr(suite, "bands", small_bands)
+        got = [open(p, "rb").read() for p in write_fields(config, str(tmp_path / "small"))]
+        assert len(walked) >= 3 * 2 and max(walked) <= 900
+        assert got == want
+
+    @pytest.mark.parametrize("family", ["quadratic", "constant"])
+    def test_peak_memory_bound(self, tmp_path, family):
+        # two bands at h = 1/128: one file's whole-grid columns, the band walk
+        # and the encoding stay within 32 field-sized arrays (27.4 measured;
+        # the residual stream taken on the whole grid took 38.9-42.5)
+        import gc
+        import tracemalloc
+
+        config = RunConfig(h=1 / 128, family=family)
+        n_nodes = config.make_grid().n_nodes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_fields(config, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n_nodes * 8, peak / (n_nodes * 8)
