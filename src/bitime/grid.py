@@ -538,10 +538,9 @@ def _spellings(values: np.ndarray) -> np.ndarray:
 def _encoded(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(spellings, picks) of a column: the spellings of its distinct float64
     bit patterns (so -0.0 stays apart from 0.0), and each node's index into
-    them, in uint16 when there are at most 65,536, else int32."""
+    them."""
     bits, picks = np.unique(values.view(np.int64), return_inverse=True)
-    return (_spellings(bits.view(np.float64)),
-            picks.astype(np.uint16 if len(bits) <= 1 << 16 else np.int32))
+    return _spellings(bits.view(np.float64)), picks.astype(np.int32)
 
 
 def write_csv(path, grid: DiscGrid,
@@ -566,8 +565,9 @@ def write_csv(path, grid: DiscGrid,
     encoded = [("x", _spellings(grid.lattice_x), i), ("y", _spellings(grid.lattice_y), j),
                *encoded]
     del i, j
-    encoded = [(name, spellings, picks[order]) for name, spellings, picks in encoded]
-    del order
+    for c, (name, spellings, picks) in enumerate(encoded):
+        encoded[c] = name, spellings, picks[order]  # the unordered picks die one column at a time
+    del order, picks
     with open(path, "wb") as fh:
         fh.write((",".join(name for name, _, _ in encoded) + "\n").encode())
         for start in range(0, grid.n_nodes, _CSV_BLOCK_ROWS):

@@ -398,7 +398,10 @@ def _banded_columns(grid: DiscGrid, columns):
     for cut, band, core in bands(grid):
         nodes = slice(cut[0][0], cut[-1][1])
         for name, f in columns(band):
-            out.setdefault(name, np.empty(grid.n_nodes))[nodes] = f.data[core]
+            col = out.get(name)
+            if col is None:
+                col = out[name] = np.empty(grid.n_nodes)
+            col[nodes] = f.data[core]
             del f  # dead before the stream computes the next field
     del band, core  # the last band's coordinates and taps die before the columns are encoded
     while out:
