@@ -6,7 +6,7 @@ pools (it must be set before numpy loads its BLAS backends, which is why
 it is handled at the top of this module).  On glibc the command group keeps
 freed heap memory for the process (`_keep_heap`), so a band array freed by
 one stage of a walk is reused by the next instead of being returned to the
-OS and faulted back in.
+OS and faulted back in.  The command sets no floating-point policy (`bitime.grid` does).
 """
 
 import functools
@@ -67,18 +67,15 @@ def _fail(message):
 
 
 @contextmanager
-def _input_errors(*kinds):
-    """Exit 2 with one line on a usage error, an exception of `kinds` or arithmetic
-    out of float64 range, which numpy raises here instead of warning."""
-    import numpy as np
+def _input_errors():
+    """Exit 2 with one line on a usage error, a ValueError or a Python float overflow."""
     try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            yield
+        yield
     except click.UsageError as exc:
         raise _fail(exc.format_message())
-    except (FloatingPointError, OverflowError) as exc:
+    except OverflowError as exc:
         raise _fail(f"arithmetic out of float64 range ({exc})")
-    except kinds as exc:
+    except ValueError as exc:
         raise _fail(str(exc))
 
 
@@ -130,7 +127,7 @@ class _Commands(click.Group):
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _input_errors(ValueError):
+        with _input_errors():
             return super().invoke(ctx)
 
 

@@ -232,7 +232,7 @@ def field_sampler(cfg: dict) -> Callable[[DiscGrid], tuple]:
     controls = compiled("control_fields", cfg.get("controls", []))
 
     def sample(grid: DiscGrid):
-        return tuple(tuple(grid.field(grid.on_mask(f, where)) for f, where in section)
+        return tuple(tuple(grid.sample(f, where)[0] for f, where in section)
                      for section in (states, controls))
 
     return sample

@@ -16,21 +16,23 @@ adjacent in node order, so the centered y difference is one subtraction of
 two slices; the centered x difference gathers through two index vectors;
 the one-sided stencils overwrite the edge nodes through index triples.
 
-Residual norms over a fine grid are taken band by band, by the one fold
-`banded_norms`: each band of lattice columns carries a halo wide enough
-that its core nodes see the whole grid's stencils, and is a lattice of its
-own columns only, so the peak memory of a check follows the band size
-rather than the node count.
+Residual norms (`banded_norms`) and export columns (`banded_columns`) are
+taken by one band walk over bands of lattice columns, each a lattice of its
+own with a halo that keeps its core's stencils exact, so the peak memory of
+a check follows the band size rather than the node count.
 
-Closed forms f(x, y) reach the grid only through `DiscGrid.sample`, which
-evaluates them on the node coordinates alone, so a formula may be singular
-anywhere off the mask.
+Closed forms f(x, y) reach the grid only through `DiscGrid.on_mask`, on the
+node coordinates alone, so a formula may be singular anywhere off the mask.
+Values are checked once, where they enter (`on_mask`, `DiscGrid.field`);
+the band walk runs under `_raising`, and a `ScalarField` checks its shape only.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -45,8 +47,8 @@ __all__ = [
     "build_disc_grid",
     "partial",
     "boundary_samples",
-    "bands",
     "banded_norms",
+    "banded_columns",
     "write_csv",
 ]
 
@@ -59,6 +61,23 @@ def _finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _all_finite(out) -> bool:
+    """Every value of a nest of tuples and lists of arrays or scalars is finite."""
+    if isinstance(out, (tuple, list)):
+        return all(map(_all_finite, out))
+    return bool(np.isfinite(out).all())
+
+
+@contextmanager
+def _raising(message: str = "arithmetic out of float64 range ({})"):
+    """numpy raises on division by zero, overflow and invalid operations, as ValueError(message)."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ValueError(message.format(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -109,7 +128,7 @@ _DISC_BLOCK_COLUMNS = 64
 _CSV_BLOCK_ROWS = 2048
 _SPELL_BLOCK = 4096
 
-# Most core nodes per band in `banded_norms`, and the columns each band
+# Most core nodes per band of the band walk, and the columns each band
 # carries beyond its core on either side: every stencil reads at most two
 # columns to each side, so two nested x-derivatives reach four.  Beyond its
 # halo a band's lattice has two empty columns on either side, as the whole
@@ -231,45 +250,46 @@ class DiscGrid:
     def on_mask(self, f: Callable, what: str = "closed form"):
         """f(x, y) with the node coordinates as 1-d arrays.
 
-        A division by zero, invalid operation or overflow raises ValueError
-        naming `what`; points off the mask are never evaluated.
+        f returns a value or a nest of tuples and lists of them (arrays over the nodes, or
+        scalars); a floating-point error or a non-finite value raises ValueError naming `what`.
         """
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            try:
-                return f(self.x, self.y)
-            except FloatingPointError as exc:
-                raise ValueError(f"{what} is not finite on the mask: {exc}") from None
+        with _raising(f"{what} is not finite on the mask: {{}}"):
+            out = f(self.x, self.y)
+        if not _all_finite(out):
+            raise ValueError(f"{what} is not finite on the mask")
+        return out
 
-    def sample(self, f: Callable) -> tuple["ScalarField", ...]:
-        """Evaluate a closed form f(x, y) on the nodes, one field per output.
-
-        f returns one value or a tuple of values (arrays over the nodes, or
-        scalars); see `on_mask` for the floating-point policy.  An array
-        returned twice is kept by its first field and copied for the others.
-        """
-        out = self.on_mask(f)
-        fields = []
+    def sample(self, f: Callable, what: str = "closed form") -> tuple["ScalarField", ...]:
+        """A closed form f(x, y) returning one value or a tuple (see `on_mask`), one field
+        per output; an array returned twice is kept by its first field, copied for the others."""
+        out = self.on_mask(f, what)
+        data = []
         for v in (out if isinstance(out, tuple) else (out,)):
-            fields.append(self.field(np.copy(v) if any(v is g.data for g in fields) else v))
-        return tuple(fields)
+            data.append(self._node_values(np.copy(v) if any(v is d for d in data) else v))
+        return tuple(ScalarField(self, d) for d in data)
 
     def field(self, values) -> "ScalarField":
-        """A field from a constant, a callable f(x, y) (see `sample`), an array
-        over the nodes, or a lattice-shaped array, which is restricted to the nodes.
+        """A field from a constant, a callable f(x, y) (see `sample`), or an array over
+        the nodes or the lattice (restricted to the nodes), finite on the nodes.
 
-        A writeable float64 array of one value per node that owns its data
-        becomes the field's data as it is; anything else (a read-only array
-        such as the node coordinates, a view, a broadcast, a scalar) is copied.
+        A writeable float64 node array that owns its data becomes the field's
+        data; anything else (the read-only node coordinates, a view, a scalar) is copied.
         """
         if callable(values):
             (f,) = self.sample(values)
             return f
+        data = self._node_values(values)
+        if not np.isfinite(data).all():
+            raise ValueError("field contains non-finite values on the mask")
+        return ScalarField(self, data)
+
+    def _node_values(self, values) -> np.ndarray:
         data = np.asarray(values, dtype=float)
         if data.shape == self.shape:
             data = data[self.mask]
         if not (data.shape == (self.n_nodes,) and data.flags.owndata and data.flags.writeable):
             data = np.broadcast_to(data, (self.n_nodes,)).copy()
-        return ScalarField(self, data)
+        return data
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros(self.n_nodes))
@@ -351,8 +371,6 @@ class ScalarField:
     def __init__(self, grid: DiscGrid, data: np.ndarray):
         if data.shape != (grid.n_nodes,):
             raise ValueError("field shape does not match grid")
-        if not np.isfinite(data).all():
-            raise ValueError("field contains non-finite values on the mask")
         self.grid = grid
         self.data = data
 
@@ -489,38 +507,53 @@ def bands(grid: DiscGrid, max_nodes: int = _BAND_NODES):
         yield (cut, *grid.band(cut[0][0], cut[-1][1]))
 
 
-def banded_norms(grid: DiscGrid,
-                 residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
+def _walk(grid: DiscGrid, stream: Callable, take: Callable, max_nodes: int = _BAND_NODES):
+    """The band walk: `take(leaves, name, core values)` for each (name, field) pair
+    `stream(band)` yields, over `bands`, under `_raising`.  A stream builds fields
+    `DiscGrid.band` keeps exact, the same names in the same order on every band."""
+    with _raising():
+        for cut, band, core in bands(grid, max_nodes):
+            for name, f in stream(band):
+                take(cut, name, f.data[core])
+                del f  # dead before the stream computes the next field
+
+
+def banded_norms(grid: DiscGrid, residuals: Callable,
                  max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
     """{name: (max norm, l2 norm)} of the (name, field) pairs `residuals(band)` yields.
 
-    `residuals` maps a grid to a stream of (name, ScalarField) pairs, the
-    same names in the same order on every grid, and must build fields of
-    the kind `DiscGrid.band` keeps exact.  It runs on one band of `bands` at
-    a time.  Each pair is folded into its name's max and the sums of the
-    band's leaf ranges as it arrives, and dropped before the next is asked
-    for: a stream that keeps no reference to a field it has yielded has one
-    condition field alive at a time, and the memory a call needs follows
-    `max_nodes` rather than the grid's node count.  Both norms equal
-    `ScalarField.max_norm` and `l2_norm` on the whole grid bit for bit, the
-    range sums being added back up in numpy's order.
+    The walk folds each field into its max and leaf-range sums and drops it, so
+    memory follows `max_nodes`, not the node count.  Both norms equal `max_norm`
+    and `l2_norm` on the whole grid bit for bit, sums added in numpy's order.
     """
     peak: dict[str, float] = {}
     leaf_sums: dict[str, dict[int, float]] = {}
-    for cut, band, core in bands(grid, max_nodes):
-        lo = cut[0][0]
-        for name, f in residuals(band):
-            v = f.data[core]
-            peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
-            sums = leaf_sums.setdefault(name, {})
-            for start, stop in cut:
-                w = v[start - lo:stop - lo]
-                sums[start] = float((w * w).sum())
-            del f, v, w  # the field dies before the stream computes the next one
+
+    def fold(cut, name, v):
+        peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
+        sums = leaf_sums.setdefault(name, {})
+        for start, stop in cut:
+            w = v[start - cut[0][0]:stop - cut[0][0]]
+            sums[start] = float((w * w).sum())
+
+    _walk(grid, residuals, fold, max_nodes)
     n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
     return {name: (peak[name], math.sqrt(_pairwise_total(leaf_sums[name], 0, n, size)
                                          * grid.h**2))
             for name in peak}
+
+
+def banded_columns(grid: DiscGrid, columns: Callable):
+    """(name, whole-grid values) of each name `columns(band)` yields, filled by
+    the walk; all are computed before the first is yielded, none held after."""
+    out: dict[str, np.ndarray] = defaultdict(lambda: np.empty(grid.n_nodes))
+
+    def fill(cut, name, v):
+        out[name][cut[0][0]:cut[-1][1]] = v
+
+    _walk(grid, columns, fill)
+    for name in list(out):
+        yield name, out.pop(name)
 
 
 def _spellings(values: np.ndarray) -> np.ndarray:

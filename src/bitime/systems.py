@@ -82,21 +82,13 @@ class QuasiLinearSystem:
 
     def matrix(self, i: int, grid: DiscGrid, state_values, control_values) -> np.ndarray:
         """A_i, shape (2, 2, grid.n_nodes).  i is 1-based."""
-        return _on_mask(self.a[i - 1], grid, state_values, control_values, 2,
-                        f"coefficient matrix A_{i}")
+        return nest_array(grid.on_mask(lambda x, y: self.a[i - 1](x, y, state_values, control_values),
+                                       f"coefficient matrix A_{i}"), (grid.n_nodes,), 2)
 
     def rhs(self, grid: DiscGrid, state_values, control_values) -> np.ndarray:
         """B, shape (2, grid.n_nodes)."""
-        return _on_mask(self.b, grid, state_values, control_values, 1, "right-hand side B")
-
-
-def _on_mask(fn, grid: DiscGrid, state_values, control_values, rank: int, what: str):
-    """Evaluate a coefficient on the nodes (see `DiscGrid.on_mask`) as one array."""
-    values = nest_array(grid.on_mask(lambda x, y: fn(x, y, state_values, control_values),
-                                     what), (grid.n_nodes,), rank)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} is not finite on the mask")
-    return values
+        return nest_array(grid.on_mask(lambda x, y: self.b(x, y, state_values, control_values),
+                                       "right-hand side B"), (grid.n_nodes,), 1)
 
 
 def state_value(f):

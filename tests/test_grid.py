@@ -10,6 +10,7 @@ from bitime.grid import (_CSV_BLOCK_ROWS, _MAX_LATTICE_POINTS, AngleField, Exclu
                          ScalarField, banded_norms, boundary_samples, build_disc_grid,
                          partial, write_csv)
 from bitime.plastic import FAMILY_KINDS, Family
+from bitime.systems import QuasiLinearSystem
 from conftest import line_integral, node_index, reference_disc_mask
 
 
@@ -297,10 +298,21 @@ class TestFields:
         with pytest.raises(ValueError, match="not finite on the mask"):
             grid32.field(lambda x, y: 1.0 / x)
 
-    def test_nonfinite_rejected(self, grid32):
-        data = np.full(grid32.n_nodes, np.nan)
-        with pytest.raises(ValueError, match="non-finite"):
-            ScalarField(grid32, data)
+    def test_sample_python_float_infinity_rejected(self, grid32):
+        # Python float arithmetic overflows to inf without a numpy flag, so
+        # only the check of what a closed form returns can see it
+        assert np.geterr()["over"] != "raise"
+        with pytest.raises(ValueError, match="^closed form is not finite on the mask$"):
+            grid32.sample(lambda x, y: (x, x + 1e308 * 10.0))
+        with pytest.raises(ValueError, match="^closed form is not finite on the mask$"):
+            grid32.sample(lambda x, y: -2.0 * 1e308)
+
+    def test_matrix_infinite_entry_rejected(self, grid32):
+        sys = QuasiLinearSystem(a=(lambda x, y, s, c: ((1.0, 0.0), (float("inf"), 1.0)),),
+                                b=lambda x, y, s, c: (0.0, 0.0))
+        assert np.geterr()["invalid"] != "raise"
+        with pytest.raises(ValueError, match="^coefficient matrix A_1 is not finite on the mask$"):
+            sys.matrix(1, grid32, [grid32.zeros().data], [])
 
     def test_shape_mismatch(self, grid32):
         with pytest.raises(ValueError):

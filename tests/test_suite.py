@@ -381,18 +381,19 @@ class TestWriteFields:
     def test_small_bands_same_files(self, tmp_path, monkeypatch, family):
         # the columns are filled band by band; bands of at most 900 nodes
         # write the one-band files byte for byte
-        from bitime import grid, suite
+        from bitime import grid
 
         config = RunConfig(h=1 / 32, family=family, perturb_q1=1e-3)
         want = [open(p, "rb").read() for p in write_fields(config, str(tmp_path / "one"))]
         walked = []
+        bands = grid.bands
 
-        def small_bands(g):
-            for cut, band, core in grid.bands(g, max_nodes=900):
+        def small_bands(g, max_nodes):
+            for cut, band, core in bands(g, max_nodes=900):
                 walked.append(cut[-1][1] - cut[0][0])
                 yield cut, band, core
 
-        monkeypatch.setattr(suite, "bands", small_bands)
+        monkeypatch.setattr(grid, "bands", small_bands)
         got = [open(p, "rb").read() for p in write_fields(config, str(tmp_path / "small"))]
         assert len(walked) >= 3 * 2 and max(walked) <= 900
         assert got == want
