@@ -518,7 +518,7 @@ def _walk(grid: DiscGrid, stream: Callable, take: Callable, max_nodes: int = _BA
                 del f  # dead before the stream computes the next field
 
 
-def banded_norms(grid: DiscGrid, residuals: Callable,
+def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
                  max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
     """{name: (max norm, l2 norm)} of the (name, field) pairs `residuals(band)` yields.
 
@@ -543,7 +543,7 @@ def banded_norms(grid: DiscGrid, residuals: Callable,
             for name in peak}
 
 
-def banded_columns(grid: DiscGrid, columns: Callable):
+def banded_columns(grid: DiscGrid, columns: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]]):
     """(name, whole-grid values) of each name `columns(band)` yields, filled by
     the walk; all are computed before the first is yielded, none held after."""
     out: dict[str, np.ndarray] = defaultdict(lambda: np.empty(grid.n_nodes))

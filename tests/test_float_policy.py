@@ -6,6 +6,8 @@ refuse the same input with the same one-line error, and neither lets a
 numpy warning escape.
 """
 
+import json
+import os
 import re
 import warnings
 
@@ -22,34 +24,52 @@ NOT_FINITE = "closed form is not finite on the mask"
 # (config keys, message, commands): K^2 overflows in the yield identity at
 # alpha = 1e200; at delta = 1e153 only the squares in the norms overflow;
 # alpha = 1e308 makes rho = -2 alpha r^2 an infinity in Python float
-# arithmetic, which raises no numpy flag and is refused where it enters
+# arithmetic, which raises no numpy flag and is refused where it enters; at
+# h = 1/8 with 100,000 circle samples, perturb_q1 = 1e152 overflows the sum
+# of squares of (27.2) and of no grid condition
 CASES = [
     ({"alpha": 1e200}, OVERFLOW, ("verify", "convergence", "fields")),
     ({"family": "constant", "delta": 1e153}, OVERFLOW, ("verify", "convergence")),
     ({"alpha": 1e308}, NOT_FINITE, ("verify", "convergence", "fields")),
+    ({"h": 1 / 8, "m": 100_000, "perturb_q1": 1e152},
+     "arithmetic out of float64 range (overflow encountered in reduce)", ("verify",)),
 ]
 PARITY = [(keys, message, command) for keys, message, commands in CASES
           for command in commands]
+# config keys that are also command-line options
+OPTIONS = {"h", "family", "alpha", "beta", "gamma", "delta"}
 
 
 def ids(case):
     keys, _, command = case
-    return f"{command}-" + "-".join(f"{k}={v}" for k, v in keys.items())
+    return f"{command}-" + "-".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                                    for k, v in keys.items())
 
 
 def library_call(command, keys, out_dir):
+    config = RunConfig(**{"h": 1 / 32, **keys})
     if command == "verify":
-        return run_verify(RunConfig(h=1 / 32, **keys))
+        return run_verify(config)
     if command == "convergence":
-        return run_convergence(RunConfig(**keys), [1 / 8, 1 / 16])
-    return write_fields(RunConfig(h=1 / 32, **keys), str(out_dir))
+        return run_convergence(config, [1 / 8, 1 / 16])
+    return write_fields(config, str(out_dir))
 
 
 def command_line(command, keys, out_dir):
-    grid = ["--h-values", "1/8,1/16"] if command == "convergence" else ["--h", "1/32"]
-    out = ["--out", str(out_dir)] if command == "fields" else []
-    flags = [arg for key, value in keys.items() for arg in (f"--{key}", str(value))]
-    return [command, *grid, *flags, *out]
+    """The command's arguments: options where the command has them, a config file for the rest."""
+    keys = {"h": 1 / 32, **keys}
+    args = [command]
+    if command == "convergence":
+        del keys["h"]
+        args += ["--h-values", "1/8,1/16"]
+    args += [arg for key, value in keys.items() if key in OPTIONS
+             for arg in (f"--{key}", str(value))]
+    rest = {key: value for key, value in keys.items() if key not in OPTIONS}
+    if rest:
+        path = out_dir / "config.json"
+        path.write_text(json.dumps(rest))
+        args += ["--config", str(path)]
+    return args + (["--out", str(out_dir)] if command == "fields" else [])
 
 
 @pytest.mark.parametrize("case", PARITY, ids=ids)
@@ -76,6 +96,7 @@ def test_fields_finite_where_only_the_norms_overflow(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         paths = write_fields(RunConfig(h=1 / 32, **keys), str(tmp_path / "library"))
+        (tmp_path / "cli").mkdir()
         result = CliRunner().invoke(main, command_line("fields", keys, tmp_path / "cli"))
     assert result.exit_code == 0 and result.stderr == "", result.output
     largest = 0.0
@@ -83,7 +104,7 @@ def test_fields_finite_where_only_the_norms_overflow(tmp_path):
         values = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.isfinite(values).all()
         largest = max(largest, np.abs(values).max())
-        with open(path, "rb") as fh, open(tmp_path / "cli" / path.rsplit("/", 1)[1], "rb") as gh:
+        with open(path, "rb") as fh, open(tmp_path / "cli" / os.path.basename(path), "rb") as gh:
             assert fh.read() == gh.read()
     # a value whose square is beyond float64 range: what the norms would overflow on
     assert largest > np.sqrt(np.finfo(np.float64).max)
