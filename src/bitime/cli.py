@@ -68,13 +68,11 @@ def _fail(message):
 
 @contextmanager
 def _input_errors():
-    """Exit 2 with one line on a usage error, a ValueError or a Python float overflow."""
+    """Exit 2 with one line on a usage error or a ValueError."""
     try:
         yield
     except click.UsageError as exc:
         raise _fail(exc.format_message())
-    except OverflowError as exc:
-        raise _fail(f"arithmetic out of float64 range ({exc})")
     except ValueError as exc:
         raise _fail(str(exc))
 

@@ -103,6 +103,12 @@ class ExclusionZone:
         if not _finite_real(self.size) or self.size < 0:
             raise ValueError(f"exclusion zone size must be a finite number >= 0, "
                              f"got {self.size!r}")
+        if self.kind == "origin":
+            try:
+                self.size**2 - 1e-15  # the bound `excludes` compares with
+            except OverflowError:
+                raise ValueError(f"origin zone size {self.size:g} is beyond float64 range "
+                                 "when squared") from None
 
     def excludes(self, x, y):
         """Boolean array: True where the zone removes points."""

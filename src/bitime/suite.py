@@ -2,24 +2,14 @@
 
 `run_verify` evaluates every checkable condition of the example problem on
 one grid, the disc of radius 1 - 2h minus the family's exclusion zones, and
-reports pass/fail per condition.  Conditions are named after the equations
-they discretise:
+reports pass/fail per condition.  `CONDITIONS` declares each condition once,
+in report order: its name (after the equation it discretises), its
+`residuals.csv` column, its tolerance and the nodes it is scored on.
 
-  (7.1) (7.2)   stress equilibrium rows          O(h^2)
-  (7.3)         yield identity                   exact (1e-12)
-  (6.R)         cross-triple determinant check   exact (1e-12)
-  (8.1) (8.2)   forward quasi-linear system      O(h^2)
-  (10.1..3)     integrability conditions         O(h^2)
-  (K-equation)  second-order equation for K      O(h^2)
-  (26)          stationarity of the Hamiltonian  exact (1e-12)
-  (28.1..3)     costate system                   exact/O(h^2)
-  (27.1..3)     circle boundary conditions       exact (1e-12)
-
-Tolerance model: O(h^2) conditions use C * h^2.  The generic default is
-C = 10, but the raw (unnormalised) residuals of the singular families carry
-much larger constants, so the defaults are calibrated per condition and
-family (DEFAULT_TOLERANCE_C, see the headroom stated there); a config
-`tolerance_c` overrides them globally.
+Tolerance model: exact conditions use 1e-12, and O(h^2) conditions C * h^2
+with C calibrated per condition and family (see `CONDITIONS`), because the
+raw residuals of the singular families carry large constants; a config
+`tolerance_c` overrides every calibrated C.
 """
 
 from __future__ import annotations
@@ -37,7 +27,7 @@ from .grid import (DiscGrid, ScalarField, _check_spacing, _finite_real, _raising
                    banded_columns, banded_norms, boundary_samples, build_disc_grid, write_csv)
 from .integrability import plastic_cic
 from .optimality import stationarity_residual
-from .plastic import (Family, boundary_condition_residual, build_state,
+from .plastic import (FAMILY_KINDS, Family, boundary_condition_residual, build_state,
                       canonical_controls, costate_bundle_star,
                       costate_system_residual, k_equation_residual,
                       equilibrium_residual, plastic_cost,
@@ -49,7 +39,7 @@ __all__ = [
     "RunConfig",
     "ConditionResult",
     "Report",
-    "DEFAULT_TOLERANCE_C",
+    "CONDITIONS",
     "run_verify",
     "run_convergence",
     "write_fields",
@@ -61,45 +51,46 @@ _EXACT_STATUS = f"exact (<={_EXACT_TOL:g})"
 # The least K a grid may hold: the smallest normal float64.
 _K_FLOOR = float(np.finfo(np.float64).tiny)
 
-_COEFF_KEY = {"quadratic": "alpha", "inv_x": "beta", "inv_y": "gamma", "constant": "delta"}
+_COEFF_KEY = dict(zip(FAMILY_KINDS, ("alpha", "beta", "gamma", "delta")))  # config key per kind
 
-# Calibrated C in tolerance = C * h^2, from max norms measured at h = 1/64 on
-# the default zones (eps0 = 0.1, coefficient 1).  Headroom (tolerance over
-# max norm) is 4.08x to 16.6x at h = 1/64 and shrinks as h falls, because the
-# full-grid max norm includes one-sided edge nodes whose distance to the zone
-# boundary jitters with h: the smallest is 1.23x, for constant (8.1) and
-# (8.2) at h = 1/512.  Conditions absent here fall back to C = 10.
-DEFAULT_TOLERANCE_C = {
-    ("quadratic", "(8.1)"): 80.0,
-    ("quadratic", "(8.2)"): 80.0,
-    ("quadratic", "(10.3)"): 1400.0,
-    ("quadratic", "(28.2)"): 450.0,
-    ("quadratic", "(28.3)"): 700.0,
-    ("inv_x", "(7.1)"): 70000.0,
-    ("inv_x", "(7.2)"): 70000.0,
-    ("inv_x", "(8.1)"): 70000.0,
-    ("inv_x", "(8.2)"): 70000.0,
-    ("inv_x", "(10.3)"): 1.4e6,
-    ("inv_x", "(K-equation)"): 5.0e5,
-    ("inv_x", "(28.2)"): 450.0,
-    ("inv_x", "(28.3)"): 700.0,
-    ("inv_y", "(7.1)"): 70000.0,
-    ("inv_y", "(7.2)"): 70000.0,
-    ("inv_y", "(8.1)"): 70000.0,
-    ("inv_y", "(8.2)"): 70000.0,
-    ("inv_y", "(10.3)"): 1.4e6,
-    ("inv_y", "(K-equation)"): 5.0e5,
-    ("inv_y", "(28.2)"): 450.0,
-    ("inv_y", "(28.3)"): 700.0,
-    ("constant", "(7.1)"): 15000.0,
-    ("constant", "(7.2)"): 15000.0,
-    ("constant", "(8.1)"): 6000.0,
-    ("constant", "(8.2)"): 6000.0,
-    ("constant", "(10.1)"): 180000.0,
-    ("constant", "(10.3)"): 210000.0,
-    ("constant", "(28.2)"): 450.0,
-    ("constant", "(28.3)"): 700.0,
-}
+
+@dataclass(frozen=True)
+class Condition:
+    """One condition of the suite: a row of `CONDITIONS`."""
+
+    name: str
+    column: str | None  # in residuals.csv; None for the circle, sampled at m points of S^1
+    c: tuple[float, ...] | None  # C in C * h^2 per FAMILY_KINDS entry; None: exact (1e-12)
+    interior: bool = False  # scored on interior_mask(2) only, 0.0 on the other nodes
+
+
+# Calibrated C, per family kind (quadratic, inv_x, inv_y, constant), from max
+# norms measured at h = 1/64 on the default zones (eps0 = 0.1, coefficient 1);
+# 10 is the generic C, kept where a residual needs no more.  Headroom
+# (tolerance over max norm) is 4.08x to 16.6x at h = 1/64 and shrinks as h
+# falls, because the full-grid max norm includes one-sided edge nodes whose
+# distance to the zone boundary jitters with h: the smallest is 1.23x, for
+# constant (8.1) and (8.2) at h = 1/512.
+CONDITIONS = (
+    Condition("(7.1)", "7_1", (10.0, 70000.0, 70000.0, 15000.0)),  # stress equilibrium rows
+    Condition("(7.2)", "7_2", (10.0, 70000.0, 70000.0, 15000.0)),
+    Condition("(7.3)", "7_3", None),  # yield identity
+    Condition("(8.1)", "8_1", (80.0, 70000.0, 70000.0, 6000.0)),  # forward quasi-linear system
+    Condition("(8.2)", "8_2", (80.0, 70000.0, 70000.0, 6000.0)),
+    Condition("(6.R)", "6_R", None),  # cross-triple determinant check
+    Condition("(10.1)", "10_1", (10.0, 10.0, 10.0, 180000.0)),  # integrability conditions
+    Condition("(10.2)", "10_2", (10.0, 10.0, 10.0, 10.0)),
+    Condition("(10.3)", "10_3", (1400.0, 1.4e6, 1.4e6, 210000.0)),
+    # second-order equation for K: its composed stencils are first-order at the mask edge
+    Condition("(K-equation)", "K_equation", (10.0, 5.0e5, 5.0e5, 10.0), interior=True),
+    Condition("(26)", "26", None),  # stationarity of the Hamiltonian
+    Condition("(28.1)", "28_1", None),  # costate system
+    Condition("(28.2)", "28_2", (450.0, 450.0, 450.0, 450.0)),
+    Condition("(28.3)", "28_3", (700.0, 700.0, 700.0, 700.0)),
+    Condition("(27.1)", None, None),  # circle boundary conditions
+    Condition("(27.2)", None, None),
+    Condition("(27.3)", None, None),
+)
 
 
 @dataclass(frozen=True)
@@ -167,11 +158,12 @@ class RunConfig:
     def make_grid(self) -> DiscGrid:
         return build_disc_grid(self.h, zones=self.make_family().zones())
 
-    def tolerance(self, condition: str, h: float) -> float:
+    def tolerance(self, condition: Condition, h: float) -> float:
+        if condition.c is None:
+            return _EXACT_TOL
         if self.tolerance_c is not None:
             return self.tolerance_c * h * h
-        c = DEFAULT_TOLERANCE_C.get((self.family, condition), 10.0)
-        return c * h * h
+        return condition.c[FAMILY_KINDS.index(self.family)] * h * h
 
 
 @dataclass(frozen=True)
@@ -251,76 +243,76 @@ def _stationarity_max(grid: DiscGrid, states, controls, costates) -> ScalarField
     return ScalarField(grid, out)
 
 
-def _each(names, fields):
-    """(name, field) pairs of `fields`, holding none of them once it is yielded."""
+def _each(fields):
+    """The fields of a sequence one by one, holding none of them once it is yielded."""
     fields = list(fields)
-    for name in names:
-        yield name, fields.pop(0)
+    while fields:
+        yield fields.pop(0)
 
 
-def _residual_fields(config: RunConfig, grid: DiscGrid):
-    """Every grid-based residual field of the suite as (condition, field) pairs, in order.
+def _fields(config: RunConfig, grid: DiscGrid):
+    """Every grid-based residual field of the suite, in `CONDITIONS` order.
 
     Each field is computed when it is asked for, and each intermediate dies
     after its last use: the stress after (7.3), each A_i after its (6.R)
     term, the controls u, v, mu, nu after (26), and the costates after
-    (28.x).  The stream keeps no field it has yielded, so a consumer that
-    drops each pair before asking for the next (`banded_norms`) holds one
-    condition field at a time.
+    (28.x).  The stream keeps no field it has yielded.
     """
     family = config.make_family()
     state = build_state(grid, family)
     stress = stress_from_polar(state)
-    yield from _each(("(7.1)", "(7.2)"), equilibrium_residual(stress))
-    yield "(7.3)", ((stress.syy - stress.sxx) * (stress.syy - stress.sxx)
-                    + 4.0 * stress.sxy * stress.sxy - 4.0 * state.k * state.k)
+    yield from _each(equilibrium_residual(stress))
+    yield ((stress.syy - stress.sxx) * (stress.syy - stress.sxx)
+           + 4.0 * stress.sxy * stress.sxy - 4.0 * state.k * state.k)
     del stress
 
     states = state.as_list()
-    yield from _each(("(8.1)", "(8.2)", "(6.R)"), _forward_and_det(grid, states))
+    yield from _each(_forward_and_det(grid, states))
 
     controls = canonical_controls(grid, family)
-    yield from _each(("(10.1)", "(10.2)", "(10.3)"),
-                     plastic_cic(state.rho, state.phi, state.k, *controls))
-
-    # Composed second-derivative stencils are only first-order where the
-    # composition crosses one-sided edge nodes, so this condition is scored
-    # on fully-interior nodes (everything else uses single stencils and
-    # stays second-order up to the mask edge).
-    yield "(K-equation)", ScalarField(grid, np.where(grid.interior_mask(2),
-                                                     k_equation_residual(state.k).data, 0.0))
+    yield from _each(plastic_cic(state.rho, state.phi, state.k, *controls))
+    yield k_equation_residual(state.k)
 
     costates = costate_bundle_star(grid, config.perturb_q1)
-    yield "(26)", _stationarity_max(grid, states, controls, costates)
+    yield _stationarity_max(grid, states, controls, costates)
     (p1, p2), _, (q1, q2) = costates.components
     phi = state.phi
     del controls, costates, state, states
-    yield from _each(("(28.1)", "(28.2)", "(28.3)"),
-                     costate_system_residual(p1, p2, q1, q2, phi))
+    yield from _each(costate_system_residual(p1, p2, q1, q2, phi))
 
 
-_EXACT_CONDITIONS = {"(7.3)", "(6.R)", "(26)", "(27.1)", "(27.2)", "(27.3)", "(28.1)"}
+def _residual_fields(config: RunConfig, grid: DiscGrid):
+    """(name, field) of each grid row of `CONDITIONS`, in order, 0.0 off the row's nodes.
+
+    It keeps no field it has yielded, so a consumer that drops each pair before
+    asking for the next (`banded_norms`) holds one condition field at a time.
+    """
+    fields = _fields(config, grid)
+    for condition in CONDITIONS:
+        if condition.interior:
+            yield condition.name, ScalarField(grid, np.where(grid.interior_mask(2),
+                                                             next(fields).data, 0.0))
+        elif condition.column:
+            yield condition.name, next(fields)
 
 
 def run_verify(config: RunConfig) -> Report:
     """Evaluate every condition of the plastic suite at the configured h."""
     grid = config.make_grid()
     norms = banded_norms(grid, lambda band: _residual_fields(config, band))
-    results = []
-    for name, (max_norm, l2_norm) in norms.items():
-        tol = _EXACT_TOL if name in _EXACT_CONDITIONS else config.tolerance(name, grid.h)
-        results.append(ConditionResult(condition=name, max_norm=max_norm,
-                                       l2_norm=l2_norm, scale=grid.h,
-                                       tolerance=tol))
-
     w = 2.0 * math.pi / config.m
+    results = []
     with _raising():  # the band walk's floating-point policy
-        rows = boundary_condition_residual(*boundary_samples(config.m), config.perturb_q1)
-        for name, res in zip(("(27.1)", "(27.2)", "(27.3)"), rows):
+        circle = iter(boundary_condition_residual(*boundary_samples(config.m), config.perturb_q1))
+        for condition in CONDITIONS:
+            if condition.column is None:
+                res = next(circle)
+                norms[condition.name] = (float(np.abs(res).max()),
+                                         math.sqrt(float((res * res).sum()) * w))
             results.append(ConditionResult(
-                condition=name, max_norm=float(np.abs(res).max()),
-                l2_norm=float(math.sqrt(float((res * res).sum()) * w)),
-                scale=float(config.m), tolerance=_EXACT_TOL))
+                condition.name, *norms[condition.name],
+                scale=grid.h if condition.column else float(config.m),
+                tolerance=config.tolerance(condition, grid.h)))
     return Report(family=config.family, h=grid.h, conditions=tuple(results))
 
 
@@ -403,17 +395,20 @@ def write_fields(config: RunConfig, out_dir: str | None = None) -> list[str]:
     def state_columns(band):
         state = build_state(band, family)
         stress = stress_from_polar(state)
-        return _each(("sxx", "syy", "sxy", "rho", "K", "cphi", "sphi"),
-                     (stress.sxx, stress.syy, stress.sxy, state.rho, state.k,
-                      state.phi.c, state.phi.s))
+        # zip holds a pair until the next is asked, and `_each` computes nothing then
+        return zip(("sxx", "syy", "sxy", "rho", "K", "cphi", "sphi"),
+                   _each((stress.sxx, stress.syy, stress.sxy, state.rho, state.k,
+                          state.phi.c, state.phi.s)))
 
     def costate_columns(band):
         (p1, p2), (r1, r2), (q1, q2) = costate_bundle_star(band, config.perturb_q1).components
-        return _each(("p1", "p2", "r1", "r2", "q1", "q2"), (p1, p2, r1, r2, q1, q2))
+        return zip(("p1", "p2", "r1", "r2", "q1", "q2"), _each((p1, p2, r1, r2, q1, q2)))
+
+    column = {condition.name: condition.column for condition in CONDITIONS}
 
     def residual_columns(band):
         for name, f in _residual_fields(config, band):
-            yield name.strip("()").replace(".", "_").replace("-", "_"), f
+            yield column[name], f
             del f  # dead before the stream computes the next field
 
     paths = []

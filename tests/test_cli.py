@@ -367,7 +367,8 @@ class TestResiduals:
         dict(PLASTIC_SYSTEM, h=10**400),
         dict(PLASTIC_SYSTEM, zones=[{"kind": "half_x", "size": 10**400}]),
         dict(PLASTIC_SYSTEM, zones=[{"kind": "origin", "size": 1e200}]),
-    ], ids=["h", "zone-size", "zone-size-squared"])
+        dict(PLASTIC_SYSTEM, zones=[{"kind": "origin", "size": 10**200}]),
+    ], ids=["h", "zone-size", "zone-size-squared", "integer-zone-size-squared"])
     def test_number_beyond_float_range(self, runner, tmp_path, system):
         # an integer beyond float64 range is read exactly by json, then overflows
         spec = write_json(tmp_path / "s.json", system)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bitime.expressions import (ExpressionError, compile_expression,
-                                fields_from_config, system_from_config)
+                                fields_from_config, grid_from_config, system_from_config)
 from bitime.systems import forward_residual
 
 
@@ -149,3 +149,12 @@ class TestSystemFromConfig:
         cfg = dict(SINGLE, state_fields={})
         with pytest.raises(ExpressionError, match="missing state_fields"):
             fields_from_config(cfg, grid32)
+
+
+@pytest.mark.parametrize("size", [1e200, 10**200], ids=["float", "integer"])
+def test_origin_zone_squared_beyond_float_range(size):
+    # an origin zone compares squared radii, so its squared size must be a float64
+    spec = {"h": 1 / 16, "zones": [{"kind": "origin", "size": size}]}
+    with pytest.raises(ValueError, match=r"^zones\[0\]: origin zone size 1e\+200 is beyond "
+                                         "float64 range when squared$"):
+        grid_from_config(spec)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from bitime.grid import write_csv
-from bitime.suite import (DEFAULT_TOLERANCE_C, RunConfig, run_convergence,
-                          run_verify, write_fields)
+from bitime.suite import (CONDITIONS, RunConfig, run_convergence, run_verify,
+                          write_fields)
 
 FAST = RunConfig(h=1 / 32)
+ROWS = {condition.name: condition for condition in CONDITIONS}
+GRID_ROWS = [condition for condition in CONDITIONS if condition.column]
 
 
 class TestRunConfig:
@@ -97,15 +99,17 @@ class TestRunConfig:
             RunConfig.from_dict({"margin": 0.1})
 
     def test_tolerance_override(self):
+        # tolerance_c replaces every calibrated C; an exact row keeps 1e-12
         cfg = RunConfig(tolerance_c=123.0)
-        assert cfg.tolerance("(8.1)", 0.1) == pytest.approx(1.23)
+        assert cfg.tolerance(ROWS["(8.1)"], 0.1) == pytest.approx(1.23)
+        assert cfg.tolerance(ROWS["(7.3)"], 0.1) == 1e-12
 
     def test_calibrated_fallback(self):
+        # each row holds its C per family kind; the generic C is 10
         cfg = RunConfig(family="quadratic")
-        assert cfg.tolerance("(7.1)", 0.1) == pytest.approx(10.0 * 0.01)
-        key = ("inv_x", "(8.1)")
-        assert RunConfig(family="inv_x").tolerance("(8.1)", 0.1) == \
-            pytest.approx(DEFAULT_TOLERANCE_C[key] * 0.01)
+        assert cfg.tolerance(ROWS["(7.1)"], 0.1) == pytest.approx(10.0 * 0.01)
+        assert RunConfig(family="inv_x").tolerance(ROWS["(8.1)"], 0.1) == \
+            pytest.approx(70000.0 * 0.01)
 
 
 class TestRunVerify:
@@ -113,6 +117,31 @@ class TestRunVerify:
     def test_families_pass(self, family):
         report = run_verify(RunConfig(h=1 / 32, family=family))
         assert report.passed, report.failing()
+
+    def test_reports_every_row_in_table_order(self):
+        report = run_verify(FAST)
+        assert [c.condition for c in report.conditions] == [c.name for c in CONDITIONS]
+        for result, condition in zip(report.conditions, CONDITIONS):
+            assert result.scale == (FAST.h if condition.column else FAST.m)
+            assert result.tolerance == FAST.tolerance(condition, FAST.h)
+
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x"])
+    def test_stream_yields_the_grid_rows(self, family):
+        # the bare stream gives one field per grid row; the named stream the
+        # rows' names in table order, an interior row 0.0 off interior_mask(2)
+        from bitime.suite import _fields, _residual_fields
+
+        config = RunConfig(h=1 / 32, family=family)
+        grid = config.make_grid()
+        bare = list(_fields(config, grid))
+        named = list(_residual_fields(config, grid))
+        assert len(bare) == len(GRID_ROWS)
+        assert [name for name, _ in named] == [c.name for c in GRID_ROWS]
+        interior = grid.interior_mask(2)
+        for condition, f, (_, g) in zip(GRID_ROWS, bare, named):
+            want = np.where(interior, f.data, 0.0) if condition.interior else f.data
+            assert np.array_equal(g.data, want)
+        assert any(c.interior for c in GRID_ROWS)
 
     def test_report_serialization(self):
         report = run_verify(FAST)
@@ -347,6 +376,14 @@ class TestWriteFields:
         paths2 = write_fields(RunConfig(h=1 / 32, out=str(tmp_path / "b")))
         for p1, p2 in zip(paths, paths2):
             assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_residuals_header_is_the_table_columns(self, tmp_path):
+        paths = write_fields(FAST, str(tmp_path))
+        with open(paths[-1]) as fh:
+            header = fh.readline().strip()
+        assert paths[-1].endswith("residuals.csv")
+        assert header == ",".join(["x", "y"] + [c.column for c in GRID_ROWS])
+        assert header.endswith("K_equation,26,28_1,28_2,28_3")
 
     def test_inv_x_zone_filter(self, tmp_path):
         paths = write_fields(RunConfig(h=1 / 32, family="inv_x", out=str(tmp_path)))
