@@ -105,7 +105,7 @@ class ExclusionZone:
                              f"got {self.size!r}")
         if self.kind == "origin":
             try:
-                self.size**2 - 1e-15  # the bound `excludes` compares with
+                float(self.size)**2 - 1e-15  # the bound `excludes` compares, as a Python float
             except OverflowError:
                 raise ValueError(f"origin zone size {self.size:g} is beyond float64 range "
                                  "when squared") from None
@@ -133,6 +133,9 @@ _DISC_BLOCK_COLUMNS = 64
 # Rows per output block, and distinct values per formatting block, in write_csv.
 _CSV_BLOCK_ROWS = 2048
 _SPELL_BLOCK = 4096
+
+# Every bit of a float64 but its sign: a value's bits & this are its magnitude's.
+_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 # Most core nodes per band of the band walk, and the columns each band
 # carries beyond its core on either side: every stencil reads at most two
@@ -563,23 +566,41 @@ def banded_columns(grid: DiscGrid, columns: Callable[[DiscGrid], Iterable[tuple[
 
 
 def _spellings(values: np.ndarray) -> np.ndarray:
-    """One row of 25 bytes per value: its `%.17g` spelling, space-padded to
-    24 bytes, the longest (as in -2.2250738585072014e-308), then a comma;
-    formatted `_SPELL_BLOCK` values at a time."""
-    out = np.empty((len(values), 25), np.uint8)
+    """One row of 23 bytes per value: its `%.17g` spelling, space-padded to
+    the longest spelling of a non-negative float64 (as in
+    2.2250738585072014e-308); formatted `_SPELL_BLOCK` values at a time."""
+    out = np.empty((len(values), 23), np.uint8)
     for start in range(0, len(values), _SPELL_BLOCK):
         chunk = values[start:start + _SPELL_BLOCK].tolist()
-        text = ("%-24.17g," * len(chunk)) % tuple(chunk)
-        out[start:start + len(chunk)] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 25)
+        text = ("%-23.17g" * len(chunk)) % tuple(chunk)
+        out[start:start + len(chunk)] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 23)
     return out
 
 
+def _cells(values: np.ndarray) -> np.ndarray:
+    """One CSV cell per value, as void items of the values' own width: a sign
+    slot (`-`, or a space; blank for a NaN, which Python spells `nan` whatever
+    its sign bit), the `%.17g` spelling of the magnitude, space padding to
+    the longest spelling, and a comma as the last byte (a row's last comma
+    becomes its newline).  Each distinct magnitude is formatted once, so v
+    and -v share one spelling."""
+    bits = values.view(np.int64)
+    magnitudes, at = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
+    spellings = _spellings(magnitudes.view(np.float64))
+    width = int((spellings != ord(" ")).any(axis=0).sum())  # spellings are left-aligned
+    cells = np.empty((len(values), width + 2), np.uint8)
+    cells[:, 0] = np.where((bits < 0) & ~np.isnan(values), ord("-"), ord(" "))
+    cells[:, 1:-1] = spellings[at, :width]
+    cells[:, -1] = ord(",")
+    return cells.view(f"V{width + 2}").ravel()
+
+
 def _encoded(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(spellings, picks) of a column: the spellings of its distinct float64
-    bit patterns (so -0.0 stays apart from 0.0), and each node's index into
-    them."""
+    """(cells, picks) of a column: the cells (`_cells`) of its distinct
+    float64 bit patterns (so -0.0 stays apart from 0.0), and each node's
+    index into them."""
     bits, picks = np.unique(values.view(np.int64), return_inverse=True)
-    return _spellings(bits.view(np.float64)), picks.astype(np.int32)
+    return _cells(bits.view(np.float64)), picks.astype(np.int32)
 
 
 def write_csv(path, grid: DiscGrid,
@@ -589,30 +610,34 @@ def write_csv(path, grid: DiscGrid,
     `columns` is a {name: field} dict, or (name, values) pairs with one
     float64 value per node.  Header is x,y,<names>; rows are ordered
     row-major by j then i (y, then x) so two runs with the same config are
-    byte-identical.  Each distinct value of a column is formatted once
-    (`_encoded`), x and y as the lattice coordinates of the nodes' columns
-    and rows, and rows are gathered from those spellings a block at a time.
-    A column's values are dropped here once it is encoded, so the pairs of a
-    generator that holds none of them once yielded are alive one at a time.
-    The bytes are those of `%.17g` on every value.
+    byte-identical.  Each column keeps one cell per distinct value
+    (`_encoded`), x and y from the lattice coordinates of the nodes'
+    columns and rows, and each distinct magnitude of a column is formatted
+    once.  A block of rows is filled with one gather of cells per column,
+    its rows' last commas become newlines, and its padding is stripped.
+    A column's values are dropped here once it is encoded, so the pairs of
+    a generator that holds none of them once yielded are alive one at a
+    time.  The bytes are those of `%.17g` on every value.
     """
     if isinstance(columns, dict):
         columns = ((name, f.data) for name, f in columns.items())
     encoded = [(name, *_encoded(values)) for name, values in columns]
     i, j = np.divmod(np.flatnonzero(grid.mask), grid.shape[1])  # each node's column and row
     order = np.lexsort((i, j))
-    encoded = [("x", _spellings(grid.lattice_x), i), ("y", _spellings(grid.lattice_y), j),
-               *encoded]
+    encoded = [("x", _cells(grid.lattice_x), i), ("y", _cells(grid.lattice_y), j), *encoded]
     del i, j
-    for c, (name, spellings, picks) in enumerate(encoded):
-        encoded[c] = name, spellings, picks[order]  # the unordered picks die one column at a time
+    for c, (name, cells, picks) in enumerate(encoded):
+        encoded[c] = name, cells, picks[order]  # the unordered picks die one column at a time
     del order, picks
+    ends = np.cumsum([cells.itemsize for _, cells, _ in encoded])
     with open(path, "wb") as fh:
         fh.write((",".join(name for name, _, _ in encoded) + "\n").encode())
         for start in range(0, grid.n_nodes, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, grid.n_nodes)
-            block = np.empty((stop - start, len(encoded), 25), np.uint8)
-            for c, (_, spellings, picks) in enumerate(encoded):
-                block[:, c] = spellings[picks[start:stop]]
-            block[:, -1, 24] = ord("\n")  # the row's last comma
-            fh.write(block[block != ord(" ")])
+            block = np.empty((stop - start, ends[-1]), np.uint8)
+            for end, (_, cells, picks) in zip(ends, encoded):
+                # mode="clip" takes straight into the strided slot ("raise" buffers it)
+                np.take(cells, picks[start:stop], mode="clip",
+                        out=block[:, end - cells.itemsize:end].view(cells.dtype)[:, 0])
+            block[:, -1] = ord("\n")  # the row's last comma
+            fh.write(block.tobytes().translate(None, b" "))

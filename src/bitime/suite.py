@@ -217,13 +217,16 @@ def _forward_and_det(grid: DiscGrid, states) -> tuple[ScalarField, ScalarField, 
     """(8.1), (8.2) and (6.R) from one forward pass of the plastic system.
 
     R_i of the cross-triple is det2(A_i); (6.R) checks it against LAPACK's
-    LU determinant of each A_i the pass evaluates.  Each A_i and w_i dies
-    after its (6.R) term, before the pass evaluates the next A_i.
+    LU determinant of each A_i the pass evaluates; an A_i that is the same
+    matrix at every node (A_1 = I) is factored once, on its first node, and
+    its determinant broadcasts.  Each A_i and w_i dies after its (6.R) term,
+    before the pass evaluates the next A_i.
     """
     fwd = ForwardPass(plastic_system(), grid, states)
     det_err = 0.0
     for a, w in fwd:
-        det = np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))
+        uniform = (a.view(np.int64) == a[..., :1].view(np.int64)).all()  # bit for bit
+        det = np.linalg.det(np.moveaxis(a[..., :1] if uniform else a, (0, 1), (-2, -1)))
         det_err = det_err + np.abs(det2(a) - det)
         del a, w, det
     return (*fwd.residual(), ScalarField(grid, det_err))

@@ -112,6 +112,14 @@ class TestBuildDiscGrid:
             with pytest.raises(ValueError, match="zone size"):
                 ExclusionZone("half_x", size)
 
+    @pytest.mark.parametrize("size", [1e200, 10**200, np.float64(1e200)],
+                             ids=["float", "int", "numpy-scalar"])
+    def test_origin_size_whose_square_overflows(self, size):
+        # a numpy scalar squares to inf with only a RuntimeWarning; the zone
+        # refuses it as it refuses a Python number
+        with pytest.raises(ValueError, match="beyond float64 range when squared"):
+            ExclusionZone("origin", size)
+
 
 class TestPartial:
     def test_linear_exact(self, grid32):
@@ -484,9 +492,12 @@ class TestCsvExport:
         assert (tmp_path / "new.csv").read_bytes() == per_value_csv(grid, cols)
 
     @pytest.mark.parametrize("kind", ["signed_zeros", "constant", "all_distinct",
-                                      "longest_spellings", "subnormals"])
+                                      "longest_spellings", "subnormals", "mirrored",
+                                      "zero_and_negative_zero", "negative_nan",
+                                      "longest_all_negative"])
     def test_distinct_values_match_per_value_reference(self, tmp_path, kind):
-        # several blocks, the last one partial
+        # several blocks, the last one partial; the fields are built directly,
+        # because DiscGrid.field refuses the NaN and infinities
         grid = build_disc_grid(1 / 48)
         assert grid.n_nodes > 2 * _CSV_BLOCK_ROWS and grid.n_nodes % _CSV_BLOCK_ROWS
         n, rng = grid.n_nodes, np.random.default_rng(11)
@@ -498,11 +509,45 @@ class TestCsvExport:
             "longest_spellings": rng.choice([-2.2250738585072014e-308,
                                              -1.7976931348623157e+308, 2.0], n),
             "subnormals": rng.choice([5e-324, -2.5e-310, 0.0, -0.0], n),
+            "mirrored": rng.choice([-1.0, 1.0], n) * rng.choice(rng.random(n // 3), n),
+            "zero_and_negative_zero": rng.choice([0.0, -0.0], n),
+            "negative_nan": rng.choice([-np.nan, np.nan, -np.inf, np.inf, -1.5, 1.5], n),
+            "longest_all_negative": rng.choice([-2.2250738585072014e-308, -0.5, -3.0], n),
         }[kind]
         if kind == "all_distinct":
             assert len(np.unique(values)) == n
-        cols = {"v": grid.field(values), "w": grid.field(values[::-1].copy())}
+        if kind == "negative_nan":
+            assert np.signbit(values[np.isnan(values)]).any()
+        cols = {"v": ScalarField(grid, values), "w": ScalarField(grid, values[::-1].copy())}
         write_csv(tmp_path / "new.csv", grid, cols)
+        assert (tmp_path / "new.csv").read_bytes() == per_value_csv(grid, cols)
+
+    def test_dict_fields_unchanged(self, tmp_path):
+        # the writer reads the fields' bits and never writes to them
+        grid = build_disc_grid(1 / 48)
+        values = np.random.default_rng(5).choice([-0.0, -1.5, 2.5, -np.nan, -np.inf], grid.n_nodes)
+        cols = {"v": ScalarField(grid, values), "w": ScalarField(grid, -values)}
+        before = {name: f.data.copy() for name, f in cols.items()}
+        write_csv(tmp_path / "new.csv", grid, cols)
+        for name, f in cols.items():
+            assert np.array_equal(f.data.view(np.int64), before[name].view(np.int64))
+
+    def test_each_magnitude_formatted_once(self, tmp_path, monkeypatch):
+        # v and -v share one spelling, and so do a lattice coordinate and its mirror
+        from bitime import grid as grid_module
+
+        spellings, spelled = grid_module._spellings, []
+
+        def recorded(values):
+            spelled.extend(values.tolist())
+            return spellings(values)
+
+        monkeypatch.setattr(grid_module, "_spellings", recorded)
+        grid = build_disc_grid(1 / 32)
+        cols = {"v": grid.field(lambda x, y: np.where(x > 0, 1 / 3, -1 / 3))}
+        write_csv(tmp_path / "new.csv", grid, cols)
+        assert spelled.count(1 / 3) == 1 and -1 / 3 not in spelled
+        assert len(spelled) == len(set(np.abs(grid.lattice_x))) + len(set(np.abs(grid.lattice_y))) + 1
         assert (tmp_path / "new.csv").read_bytes() == per_value_csv(grid, cols)
 
 

@@ -185,6 +185,30 @@ class TestRunVerify:
             pass
         assert calls == {"A_1": 1, "A_2": 1, "A_3": 1, "B": 1}
 
+    def test_6r_factors_the_uniform_matrix_once(self, monkeypatch):
+        # A_1 = I is the same matrix at every node, so (6.R) factors it on one
+        # node: a band of n nodes hands 2n + 1 matrices to LAPACK, not 3n
+        from bitime import suite
+        from bitime.grid import banded_norms
+
+        forward_and_det, det = suite._forward_and_det, np.linalg.det
+        per_band = []  # [band nodes, matrices factored]
+
+        def counted_det(m):
+            per_band[-1][1] += m[..., 0, 0].size
+            return det(m)
+
+        def recorded(grid, states):
+            per_band.append([grid.n_nodes, 0])
+            return forward_and_det(grid, states)
+
+        monkeypatch.setattr(np.linalg, "det", counted_det)
+        monkeypatch.setattr(suite, "_forward_and_det", recorded)
+        grid = FAST.make_grid()
+        banded_norms(grid, lambda band: suite._residual_fields(FAST, band), 900)
+        assert len(per_band) > 1
+        assert all(factored == 2 * n + 1 for n, factored in per_band)
+
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
     def test_banded_norms_match_whole_grid(self, family):
         # run_verify takes its norms band by band; on narrow bands every norm
