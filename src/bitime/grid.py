@@ -134,9 +134,6 @@ _DISC_BLOCK_COLUMNS = 64
 _CSV_BLOCK_ROWS = 2048
 _SPELL_BLOCK = 4096
 
-# Every bit of a float64 but its sign: a value's bits & this are its magnitude's.
-_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
 # Most core nodes per band of the band walk, and the columns each band
 # carries beyond its core on either side: every stencil reads at most two
 # columns to each side, so two nested x-derivatives reach four.  Beyond its
@@ -474,82 +471,64 @@ def boundary_samples(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(th), np.sin(th)
 
 
-def _pairwise_halves(n: int) -> tuple[int, int]:
-    """Where numpy's pairwise summation splits n values: half, rounded down to a multiple of 8."""
+def _pairwise(lo: int, n: int, size: int, leaf: Callable):
+    """numpy's pairwise sum over lo..lo+n-1 down to ranges of at most `size` values
+    (at least 128, the block numpy never splits): `leaf(start, stop)` of such a range,
+    else the sum of its halves', the first n/2 rounded down to a multiple of 8."""
+    if n <= size:
+        return leaf(lo, lo + n)
     half = n // 2 - n // 2 % 8
-    return half, n - half
+    return _pairwise(lo, half, size, leaf) + _pairwise(lo + half, n - half, size, leaf)
 
 
-def _sum_leaves(lo: int, n: int, size: int) -> list[tuple[int, int]]:
-    """(start, stop) of the ranges numpy's pairwise sum over lo..lo+n-1 recurses
-    into, down to at most `size` values each, in order."""
-    if n <= size:
-        return [(lo, lo + n)]
-    left, right = _pairwise_halves(n)
-    return _sum_leaves(lo, left, size) + _sum_leaves(lo + left, right, size)
-
-
-def _pairwise_total(leaf_sums: dict[int, float], lo: int, n: int, size: int) -> float:
-    """The sum over lo..lo+n-1 from the sums of its `_sum_leaves`, added as numpy adds them."""
-    if n <= size:
-        return leaf_sums[lo]
-    left, right = _pairwise_halves(n)
-    return (_pairwise_total(leaf_sums, lo, left, size)
-            + _pairwise_total(leaf_sums, lo + left, right, size))
-
-
-def bands(grid: DiscGrid, max_nodes: int = _BAND_NODES):
+def bands(grid: DiscGrid):
     """The bands a walk over `grid` takes: (leaves, band, core) for each, in node order.
 
-    `band, core = grid.band(lo, hi)` for a node range lo..hi-1 of at most
-    `max_nodes` nodes, cut between the ranges over which numpy's pairwise
-    sum over the grid's nodes takes its sums of at most `_SUM_LEAF_NODES`
-    values; `leaves` lists those ranges as (start, stop) node numbers, from
-    lo to hi.
+    `band, core = grid.band(lo, hi)` for a node range lo..hi-1 of at most `_BAND_NODES`
+    nodes, cut between the ranges over which numpy's pairwise sum over the grid's
+    nodes takes its sums of at most `_SUM_LEAF_NODES` values; `leaves` lists those
+    ranges as (start, stop) node numbers, from lo to hi.
     """
-    leaves = _sum_leaves(0, grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes))
+    leaves = _pairwise(0, grid.n_nodes, min(_SUM_LEAF_NODES, _BAND_NODES),
+                       lambda start, stop: [(start, stop)])
     while leaves:
-        k = 1
-        while k < len(leaves) and leaves[k][1] - leaves[0][0] <= max_nodes:
-            k += 1
+        k = sum(stop - leaves[0][0] <= _BAND_NODES for _, stop in leaves)  # stops increase
         cut, leaves = leaves[:k], leaves[k:]
         yield (cut, *grid.band(cut[0][0], cut[-1][1]))
 
 
-def _walk(grid: DiscGrid, stream: Callable, take: Callable, max_nodes: int = _BAND_NODES):
+def _walk(grid: DiscGrid, stream: Callable, take: Callable):
     """The band walk: `take(leaves, name, core values)` for each (name, field) pair
     `stream(band)` yields, over `bands`, under `_raising`.  A stream builds fields
     `DiscGrid.band` keeps exact, the same names in the same order on every band."""
     with _raising():
-        for cut, band, core in bands(grid, max_nodes):
+        for cut, band, core in bands(grid):
             for name, f in stream(band):
                 take(cut, name, f.data[core])
                 del f  # dead before the stream computes the next field
 
 
-def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
-                 max_nodes: int = _BAND_NODES) -> dict[str, tuple[float, float]]:
+def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]]
+                 ) -> dict[str, tuple[float, float]]:
     """{name: (max norm, l2 norm)} of the (name, field) pairs `residuals(band)` yields.
 
     The walk folds each field into its max and leaf-range sums and drops it, so
-    memory follows `max_nodes`, not the node count.  Both norms equal `max_norm`
+    memory follows `_BAND_NODES`, not the node count.  Both norms equal `max_norm`
     and `l2_norm` on the whole grid bit for bit, sums added in numpy's order.
     """
     peak: dict[str, float] = {}
-    leaf_sums: dict[str, dict[int, float]] = {}
+    leaf_sums: dict[tuple[str, int], float] = {}
 
     def fold(cut, name, v):
         peak[name] = max(peak.get(name, 0.0), float(np.abs(v).max()))
-        sums = leaf_sums.setdefault(name, {})
         for start, stop in cut:
             w = v[start - cut[0][0]:stop - cut[0][0]]
-            sums[start] = float((w * w).sum())
+            leaf_sums[name, start] = float((w * w).sum())
 
-    _walk(grid, residuals, fold, max_nodes)
-    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, max_nodes)
-    return {name: (peak[name], math.sqrt(_pairwise_total(leaf_sums[name], 0, n, size)
-                                         * grid.h**2))
-            for name in peak}
+    _walk(grid, residuals, fold)
+    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, _BAND_NODES)
+    return {name: (peak[name], math.sqrt(_pairwise(0, n, size, lambda s, _: leaf_sums[name, s])
+                                         * grid.h**2)) for name in peak}
 
 
 def banded_columns(grid: DiscGrid, columns: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]]):
@@ -577,30 +556,37 @@ def _spellings(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cells(values: np.ndarray) -> np.ndarray:
-    """One CSV cell per value, as void items of the values' own width: a sign
-    slot (`-`, or a space; blank for a NaN, which Python spells `nan` whatever
-    its sign bit), the `%.17g` spelling of the magnitude, space padding to
-    the longest spelling, and a comma as the last byte (a row's last comma
-    becomes its newline).  Each distinct magnitude is formatted once, so v
-    and -v share one spelling."""
-    bits = values.view(np.int64)
-    magnitudes, at = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
-    spellings = _spellings(magnitudes.view(np.float64))
-    width = int((spellings != ord(" ")).any(axis=0).sum())  # spellings are left-aligned
-    cells = np.empty((len(values), width + 2), np.uint8)
-    cells[:, 0] = np.where((bits < 0) & ~np.isnan(values), ord("-"), ord(" "))
-    cells[:, 1:-1] = spellings[at, :width]
-    cells[:, -1] = ord(",")
-    return cells.view(f"V{width + 2}").ravel()
-
-
 def _encoded(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, picks) of a column: the cells (`_cells`) of its distinct
-    float64 bit patterns (so -0.0 stays apart from 0.0), and each node's
-    index into them."""
-    bits, picks = np.unique(values.view(np.int64), return_inverse=True)
-    return _cells(bits.view(np.float64)), picks.astype(np.int32)
+    """(cells, picks) of a column: one CSV cell per distinct float64 bit pattern
+    (so -0.0 stays apart from 0.0), and each value's int32 index into them.
+
+    A cell is a void item of the column's own width: a sign slot (`-`, or a
+    space; blank for a NaN, which Python spells `nan` whatever its sign bit),
+    the `%.17g` spelling of the magnitude, space padding to the longest
+    spelling, and a comma as the last byte (a row's last comma becomes its
+    newline).  One argsort orders the bits rotated left by one, magnitude
+    first and sign last, so v and -v are neighbours and each distinct
+    magnitude is formatted once; `np.unique` would hold more node-sized
+    arrays while it sorts."""
+    bits = values.view(np.uint64)
+    keys = bits << 1 | bits >> 63
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))  # the first of each bit pattern
+    picks = np.empty(len(keys), np.int32)
+    picks[perm] = np.cumsum(new, dtype=np.int32) - 1
+    del perm
+    keys = keys[new]
+    magnitudes = keys >> 1
+    new = np.concatenate(([True], magnitudes[1:] != magnitudes[:-1]))  # and of each magnitude
+    spellings = _spellings(magnitudes[new].view(np.float64))
+    width = int((spellings != ord(" ")).any(axis=0).sum())  # spellings are left-aligned
+    cells = np.empty((len(keys), width + 2), np.uint8)
+    negative = (keys & 1).astype(bool) & ~np.isnan(magnitudes.view(np.float64))
+    cells[:, 0] = np.where(negative, ord("-"), ord(" "))
+    cells[:, 1:-1] = spellings[np.cumsum(new) - 1, :width]
+    cells[:, -1] = ord(",")
+    return cells.view(f"V{width + 2}").ravel(), picks
 
 
 def write_csv(path, grid: DiscGrid,
@@ -624,7 +610,8 @@ def write_csv(path, grid: DiscGrid,
     encoded = [(name, *_encoded(values)) for name, values in columns]
     i, j = np.divmod(np.flatnonzero(grid.mask), grid.shape[1])  # each node's column and row
     order = np.lexsort((i, j))
-    encoded = [("x", _cells(grid.lattice_x), i), ("y", _cells(grid.lattice_y), j), *encoded]
+    (x_cells, x_at), (y_cells, y_at) = _encoded(grid.lattice_x), _encoded(grid.lattice_y)
+    encoded = [("x", x_cells, x_at[i]), ("y", y_cells, y_at[j]), *encoded]
     del i, j
     for c, (name, cells, picks) in enumerate(encoded):
         encoded[c] = name, cells, picks[order]  # the unordered picks die one column at a time

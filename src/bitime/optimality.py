@@ -60,7 +60,6 @@ class CostBundle:
 class MultiplierSystem:
     """Multiplier-form right-hand sides f_i(x, y, states, controls) -> 2-vector, one per state."""
 
-    n_controls: int
     rhs: tuple[Callable, ...]
 
 
@@ -92,7 +91,7 @@ def stationarity_residual(msys: MultiplierSystem, cost: CostBundle, grid: DiscGr
     pv = costates.values()
     x, y = grid.x, grid.y
     h0 = hamiltonian(msys, cost, x, y, sv, cv, pv)
-    for a in range(msys.n_controls):
+    for a in range(len(cv)):
         shifted = list(cv)
         shifted[a] = cv[a] + 1.0
         yield ScalarField(grid, hamiltonian(msys, cost, x, y, sv, shifted, pv) - h0)

@@ -266,7 +266,7 @@ def plastic_multiplier_system() -> MultiplierSystem:
         c, s = states[2]
         return (-(u + mu) * s - (v + nu) * c, -(u + mu) * c + (v + nu) * s)
 
-    return MultiplierSystem(n_controls=4, rhs=(f1, f2, f3))
+    return MultiplierSystem(rhs=(f1, f2, f3))
 
 
 def plastic_cost() -> CostBundle:

@@ -217,14 +217,13 @@ class TestResiduals:
 
     def test_formulas_compiled_once(self, runner, tmp_path, monkeypatch):
         # many bands compile each entry and field formula once, as one band does
-        import functools
         from collections import Counter
 
         from bitime import expressions, grid
 
         spec = write_json(tmp_path / "p.json", PLASTIC_SYSTEM)
         counts = []
-        for max_nodes in (grid._BAND_NODES, 900):
+        for band_nodes in (grid._BAND_NODES, 900):
             calls = Counter()
 
             def counting(src, names, calls=calls, compile_=expressions.compile_expression):
@@ -232,8 +231,7 @@ class TestResiduals:
                 return compile_(src, names)
 
             monkeypatch.setattr(expressions, "compile_expression", counting)
-            monkeypatch.setattr(grid, "banded_norms",
-                                functools.partial(grid.banded_norms, max_nodes=max_nodes))
+            monkeypatch.setattr(grid, "_BAND_NODES", band_nodes)
             result = runner.invoke(main, ["residuals", spec])
             assert result.exit_code == 0, result.output
             monkeypatch.undo()
@@ -244,8 +242,6 @@ class TestResiduals:
     def test_small_bands_same_output(self, runner, tmp_path, monkeypatch, as_json):
         # bands of at most 900 nodes print the one-band report byte for byte,
         # forward rows first
-        import functools
-
         from bitime import grid
 
         spec = write_json(tmp_path / "p.json", PLASTIC_SYSTEM)
@@ -254,8 +250,7 @@ class TestResiduals:
         first = (json.loads(want.output)["rows"][0]["condition"] if as_json
                  else want.output.split()[0])
         assert first == "forward.1"
-        monkeypatch.setattr(grid, "banded_norms",
-                            functools.partial(grid.banded_norms, max_nodes=900))
+        monkeypatch.setattr(grid, "_BAND_NODES", 900)
         assert runner.invoke(main, ["residuals", spec, *as_json]).output == want.output
 
     def test_peak_memory_per_state(self, tmp_path):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitime import grid as grid_module
 from bitime.grid import (_CSV_BLOCK_ROWS, _MAX_LATTICE_POINTS, AngleField, ExclusionZone,
-                         ScalarField, banded_norms, boundary_samples, build_disc_grid,
-                         partial, write_csv)
+                         ScalarField, _pairwise, banded_norms, boundary_samples,
+                         build_disc_grid, partial, write_csv)
 from bitime.plastic import FAMILY_KINDS, Family
 from bitime.systems import QuasiLinearSystem
 from conftest import line_integral, node_index, reference_disc_mask
@@ -395,7 +396,7 @@ class TestBands:
         assert np.array_equal(band.mask, want)
         assert np.array_equal(node_index(band, band.x, band.y), np.arange(band.n_nodes))
 
-    def test_two_nested_x_derivatives_exact_on_cores(self, family_grid):
+    def test_two_nested_x_derivatives_exact_on_cores(self, monkeypatch, family_grid):
         def fields(g):
             f = g.field(lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * x * y)
             fx = partial(f, 1)
@@ -403,12 +404,34 @@ class TestBands:
                     "mixed": partial(f * fx + g.field(lambda x, y: y), 1)}
 
         whole = fields(family_grid)
-        norms = banded_norms(family_grid, lambda g: fields(g).items(), 300)
+        monkeypatch.setattr(grid_module, "_BAND_NODES", 300)
+        norms = banded_norms(family_grid, lambda g: fields(g).items())
         assert norms == {name: (f.max_norm(), f.l2_norm()) for name, f in whole.items()}
 
     def test_one_band_norms_exact(self, grid32):
         f = grid32.field(lambda x, y: x * y + 0.5)
         assert banded_norms(grid32, lambda g: {"f": f}.items()) == {"f": (f.max_norm(), f.l2_norm())}
+
+
+class TestPairwise:
+    # numpy sums a block of up to 128 values without splitting it, so a leaf
+    # of at least 128 values is summed as numpy sums it within the whole
+    @pytest.mark.parametrize("size", [128, 300, 4096])
+    @settings(max_examples=60, deadline=None)
+    @given(eighths=st.integers(0, 5000), rest=st.integers(0, 7), lo=st.integers(0, 99),
+           seed=st.integers(0, 2**32 - 1))
+    def test_leaves_and_sum_follow_numpy(self, size, eighths, rest, lo, seed):
+        n = max(8 * eighths + rest, 1)
+        leaves = _pairwise(lo, n, size, lambda start, stop: [(start, stop)])
+        assert leaves[0][0] == lo and leaves[-1][1] == lo + n
+        assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+        assert all(0 < stop - start <= size for start, stop in leaves)
+
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(lo + n) * 10.0 ** rng.uniform(-8, 8, lo + n)
+        sums = {start: float((v[start:stop] * v[start:stop]).sum()) for start, stop in leaves}
+        whole = v[lo:]
+        assert _pairwise(lo, n, size, lambda start, _: sums[start]) == float((whole * whole).sum())
 
 
 class TestBoundarySamples:
@@ -494,7 +517,8 @@ class TestCsvExport:
     @pytest.mark.parametrize("kind", ["signed_zeros", "constant", "all_distinct",
                                       "longest_spellings", "subnormals", "mirrored",
                                       "zero_and_negative_zero", "negative_nan",
-                                      "longest_all_negative"])
+                                      "longest_all_negative", "around_two",
+                                      "infinities_and_finite"])
     def test_distinct_values_match_per_value_reference(self, tmp_path, kind):
         # several blocks, the last one partial; the fields are built directly,
         # because DiscGrid.field refuses the NaN and infinities
@@ -513,6 +537,12 @@ class TestCsvExport:
             "zero_and_negative_zero": rng.choice([0.0, -0.0], n),
             "negative_nan": rng.choice([-np.nan, np.nan, -np.inf, np.inf, -1.5, 1.5], n),
             "longest_all_negative": rng.choice([-2.2250738585072014e-308, -0.5, -3.0], n),
+            # from 2.0 up, the top exponent bit is the sort key's top bit
+            "around_two": rng.choice([-1.0, 1.0], n) * rng.choice(np.concatenate((
+                [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 4.0), 1e300],
+                rng.uniform(0.5, 8.0, 64))), n),
+            "infinities_and_finite": rng.choice([-np.inf, np.inf, -1.7976931348623157e+308,
+                                                 1.7976931348623157e+308, -2.5, 2.5, 0.0], n),
         }[kind]
         if kind == "all_distinct":
             assert len(np.unique(values)) == n
@@ -532,10 +562,26 @@ class TestCsvExport:
         for name, f in cols.items():
             assert np.array_equal(f.data.view(np.int64), before[name].view(np.int64))
 
+    def test_one_sort_per_column(self, tmp_path, monkeypatch):
+        # each column, x and y included, is sorted once: by its rotated bits,
+        # which put each magnitude's two signs next to each other
+        sorts = []
+        for name in ("unique", "argsort"):
+            def counted(*args, sort=getattr(np, name), **kwargs):
+                sorts.append(sort.__name__)
+                return sort(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        grid = build_disc_grid(1 / 32)
+        cols = {"v": grid.field(lambda x, y: np.where(x > 0, 1 / 3, -1 / 3) * y),
+                "w": grid.field(lambda x, y: x * y)}
+        write_csv(tmp_path / "new.csv", grid, cols)
+        monkeypatch.undo()
+        assert len(sorts) == len(cols) + 2, sorts
+        assert (tmp_path / "new.csv").read_bytes() == per_value_csv(grid, cols)
+
     def test_each_magnitude_formatted_once(self, tmp_path, monkeypatch):
         # v and -v share one spelling, and so do a lattice coordinate and its mirror
-        from bitime import grid as grid_module
-
         spellings, spelled = grid_module._spellings, []
 
         def recorded(values):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitime import grid as grid_module
 from bitime.expressions import fields_from_config, grid_from_config, system_from_config
 from bitime.grid import AngleField, ExclusionZone, banded_norms, build_disc_grid
 from bitime.integrability import cic_multi, cic_single, forward_and_cic, plastic_cic
@@ -69,11 +70,9 @@ class TestCicMulti:
             manual = cic_single(t.p, t.q, t.r, state)
             assert (rep.residuals[i - 1] - manual).max_norm() <= 1e-10
 
-    def test_banded_matches_whole_grid(self):
+    def test_banded_matches_whole_grid(self, monkeypatch):
         # the residuals command takes cic_multi band by band: composed
         # x-derivatives must reach no further than a band's halo
-        from bitime.grid import banded_norms
-
         a1 = lambda x, y, s, c: ((1.0 + s[1] * x, x * y), (0.2 * s[0], 2.0 - x))
         a2 = lambda x, y, s, c: ((1.0, 0.5 * s[0]), (np.sin(s[1]), 1.0 + y * y))
         b = lambda x, y, s, c: (x + y, x * y)
@@ -86,7 +85,8 @@ class TestCicMulti:
             return {i: r for i, r in enumerate(rep.residuals)}
 
         whole = residuals(grid)
-        assert banded_norms(grid, lambda g: residuals(g).items(), 700) == {
+        monkeypatch.setattr(grid_module, "_BAND_NODES", 700)
+        assert banded_norms(grid, lambda g: residuals(g).items()) == {
             i: (r.max_norm(), r.l2_norm()) for i, r in whole.items()}
 
     def test_angle_state_rejected(self, grid32):
@@ -139,7 +139,7 @@ WALK_CASES = [(2, "origin", False), (3, "abs_x", False), (4, "half_x", False),
 
 class TestForwardAndCic:
     @pytest.mark.parametrize("n, zone, control", WALK_CASES)
-    def test_bit_identical_to_composed_pipeline(self, n, zone, control):
+    def test_bit_identical_to_composed_pipeline(self, monkeypatch, n, zone, control):
         # the one walk over the states gives the very fields (and so norms,
         # whole-grid and banded) of forward_residual + cic_multi(split_controls),
         # and of the formulas written out row by row, each cic.i in state
@@ -168,8 +168,9 @@ class TestForwardAndCic:
                 k: f.data.tobytes() for k, f in want.items()}
             assert {k: (f.max_norm(), f.l2_norm()) for k, f in got.items()} == {
                 k: (f.max_norm(), f.l2_norm()) for k, f in want.items()}
-        assert (banded_norms(grid, lambda g: walked(g).items(), 1500)
-                == banded_norms(grid, lambda g: composed(g).items(), 1500))
+        monkeypatch.setattr(grid_module, "_BAND_NODES", 1500)
+        assert (banded_norms(grid, lambda g: walked(g).items())
+                == banded_norms(grid, lambda g: composed(g).items()))
 
     def test_angle_state_rejected(self, grid32):
         sys_def = QuasiLinearSystem(a=(IDENTITY,), b=ZERO_B)

@@ -1,4 +1,3 @@
-import functools
 import json
 
 import numpy as np
@@ -188,8 +187,7 @@ class TestRunVerify:
     def test_6r_factors_the_uniform_matrix_once(self, monkeypatch):
         # A_1 = I is the same matrix at every node, so (6.R) factors it on one
         # node: a band of n nodes hands 2n + 1 matrices to LAPACK, not 3n
-        from bitime import suite
-        from bitime.grid import banded_norms
+        from bitime import grid, suite
 
         forward_and_det, det = suite._forward_and_det, np.linalg.det
         per_band = []  # [band nodes, matrices factored]
@@ -204,22 +202,23 @@ class TestRunVerify:
 
         monkeypatch.setattr(np.linalg, "det", counted_det)
         monkeypatch.setattr(suite, "_forward_and_det", recorded)
-        grid = FAST.make_grid()
-        banded_norms(grid, lambda band: suite._residual_fields(FAST, band), 900)
+        monkeypatch.setattr(grid, "_BAND_NODES", 900)
+        grid.banded_norms(FAST.make_grid(), lambda band: suite._residual_fields(FAST, band))
         assert len(per_band) > 1
         assert all(factored == 2 * n + 1 for n, factored in per_band)
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
-    def test_banded_norms_match_whole_grid(self, family):
+    def test_banded_norms_match_whole_grid(self, monkeypatch, family):
         # run_verify takes its norms band by band; on narrow bands every norm
         # still equals the whole grid's bit for bit
-        from bitime.grid import banded_norms
+        from bitime import grid as grid_module
         from bitime.suite import _residual_fields
 
         config = RunConfig(h=1 / 64, family=family, perturb_q1=1e-3)
         grid = config.make_grid()
         whole = dict(_residual_fields(config, grid))
-        banded = banded_norms(grid, lambda band: _residual_fields(config, band), 900)
+        monkeypatch.setattr(grid_module, "_BAND_NODES", 900)
+        banded = grid_module.banded_norms(grid, lambda band: _residual_fields(config, band))
         assert banded == {name: (f.max_norm(), f.l2_norm()) for name, f in whole.items()}
         assert list(banded) == list(whole)
 
@@ -325,13 +324,12 @@ class TestRunConvergence:
     def test_small_bands_same_table(self, monkeypatch, family):
         # the table is folded band by band; bands of at most 900 nodes (some
         # holding no common node) give the one-band table bit for bit
-        from bitime import grid, suite
+        from bitime import grid
 
         config = RunConfig(family=family)
         hs = [1 / 16, 1 / 32, 1 / 64]
         want = run_convergence(config, hs)
-        monkeypatch.setattr(suite, "banded_norms",
-                            functools.partial(grid.banded_norms, max_nodes=900))
+        monkeypatch.setattr(grid, "_BAND_NODES", 900)
         assert json.dumps(run_convergence(config, hs)) == json.dumps(want)
 
     def test_one_fold_per_spacing(self, monkeypatch):
@@ -449,12 +447,13 @@ class TestWriteFields:
         walked = []
         bands = grid.bands
 
-        def small_bands(g, max_nodes):
-            for cut, band, core in bands(g, max_nodes=900):
+        def recorded(g):
+            for cut, band, core in bands(g):
                 walked.append(cut[-1][1] - cut[0][0])
                 yield cut, band, core
 
-        monkeypatch.setattr(grid, "bands", small_bands)
+        monkeypatch.setattr(grid, "bands", recorded)
+        monkeypatch.setattr(grid, "_BAND_NODES", 900)
         got = [open(p, "rb").read() for p in write_fields(config, str(tmp_path / "small"))]
         assert len(walked) >= 3 * 2 and max(walked) <= 900
         assert got == want
@@ -465,9 +464,10 @@ class TestWriteFields:
         # in field-sized arrays.  At h = 1/128 (two bands) the peak is the band
         # walk's: one file's whole-grid columns and a band's intermediates,
         # 27.4 measured, where the residual stream taken on the whole grid
-        # took 38.9-42.5.  At 1/256 (seven bands) it is the encoding's: the
-        # columns' picks, put in row order one column at a time, 19.9-23.1
-        # measured, 28.1 when every column was reordered at once.
+        # took 38.9-42.5.  At 1/256 (seven bands) it is inside the encoding
+        # of a column with many distinct values: 19.4-22.4 measured,
+        # 19.8-22.8 when np.unique sorted each column twice, 28.1 when every
+        # column's picks were put in row order at once.
         import gc
         import tracemalloc
 
