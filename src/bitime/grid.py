@@ -610,8 +610,8 @@ def write_csv(path, grid: DiscGrid,
     encoded = [(name, *_encoded(values)) for name, values in columns]
     i, j = np.divmod(np.flatnonzero(grid.mask), grid.shape[1])  # each node's column and row
     order = np.lexsort((i, j))
-    (x_cells, x_at), (y_cells, y_at) = _encoded(grid.lattice_x), _encoded(grid.lattice_y)
-    encoded = [("x", x_cells, x_at[i]), ("y", y_cells, y_at[j]), *encoded]
+    (cells_x, x_at), (cells_y, y_at) = _encoded(grid.lattice_x), _encoded(grid.lattice_y)
+    encoded = [("x", cells_x, x_at[i]), ("y", cells_y, y_at[j]), *encoded]
     del i, j
     for c, (name, cells, picks) in enumerate(encoded):
         encoded[c] = name, cells, picks[order]  # the unordered picks die one column at a time
