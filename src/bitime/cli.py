@@ -159,7 +159,9 @@ def residuals(system_file, h, as_json):
     grid = grid_from_config(spec, h)
     sample = field_sampler(spec)
 
-    norms = banded_norms(grid, lambda band: forward_and_cic(sys_def, band, *sample(band)))
+    # a band samples every declared state and control, so the walk sizes bands by their count
+    sheets = len(spec["states"]) + len(spec.get("controls", []))
+    norms = banded_norms(grid, lambda band: forward_and_cic(sys_def, band, *sample(band)), sheets)
     # the stream ends with the forward rows; the report lists them first
     rows = [{"condition": name, "max_norm": norms[name][0], "l2_norm": norms[name][1],
              "h": grid.h} for name in sorted(norms, key=lambda name: name.startswith("cic"))]

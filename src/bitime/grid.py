@@ -19,7 +19,8 @@ the one-sided stencils overwrite the edge nodes through index triples.
 Residual norms (`banded_norms`) and export columns (`banded_columns`) are
 taken by one band walk over bands of lattice columns, each a lattice of its
 own with a halo that keeps its core's stencils exact, so the peak memory of
-a check follows the band size rather than the node count.
+a check follows the band size rather than the node count; bands narrow as the
+number of sheets a stream samples per band grows.
 
 Closed forms f(x, y) reach the grid only through `DiscGrid.on_mask`, on the
 node coordinates alone, so a formula may be singular anywhere off the mask.
@@ -134,12 +135,15 @@ _DISC_BLOCK_COLUMNS = 64
 _CSV_BLOCK_ROWS = 2048
 _SPELL_BLOCK = 4096
 
-# Most core nodes per band of the band walk, and the columns each band
-# carries beyond its core on either side: every stencil reads at most two
-# columns to each side, so two nested x-derivatives reach four.  Beyond its
-# halo a band's lattice has two empty columns on either side, as the whole
-# lattice has its two padding rings, so no neighbour lookup leaves it.
+# Most core nodes per band of a walk whose stream samples up to
+# `_BAND_SHEETS` node-sized sheets per band (see `_band_size`), and the
+# columns each band carries beyond its core on either side: every stencil
+# reads at most two columns to each side, so two nested x-derivatives reach
+# four.  Beyond its halo a band's lattice has two empty columns on either
+# side, as the whole lattice has its two padding rings, so no neighbour
+# lookup leaves it.
 _BAND_NODES = 32768
+_BAND_SHEETS = 3
 _HALO_COLUMNS = 4
 _PAD_COLUMNS = 2
 # Most values per sum of squares in `banded_norms`; band cores are cut
@@ -481,40 +485,60 @@ def _pairwise(lo: int, n: int, size: int, leaf: Callable):
     return _pairwise(lo, half, size, leaf) + _pairwise(lo + half, n - half, size, leaf)
 
 
-def bands(grid: DiscGrid):
+def _band_size(sheets: int) -> tuple[int, int]:
+    """(most core nodes per band, most values per leaf sum) of a walk whose stream
+    samples `sheets` node-sized sheets per band.
+
+    A band holds `_BAND_NODES` nodes for up to `_BAND_SHEETS` sheets (the
+    plastic states), and proportionally fewer for more, so the sampled sheets
+    take about as much memory as `_BAND_SHEETS` of them do, but never fewer
+    than `_BAND_NODES // 2` nodes: the halo's share of a band, and its cost,
+    grow as the band narrows.  A leaf is never longer than a band, so a band
+    holds whole leaves; with `_BAND_NODES` >= 256 neither is shorter than 128
+    values, the block numpy never splits.
+    """
+    band = max(_BAND_NODES * _BAND_SHEETS // max(sheets, _BAND_SHEETS), _BAND_NODES // 2)
+    return band, min(_SUM_LEAF_NODES, band)
+
+
+def bands(grid: DiscGrid, sheets: int = _BAND_SHEETS):
     """The bands a walk over `grid` takes: (leaves, band, core) for each, in node order.
 
-    `band, core = grid.band(lo, hi)` for a node range lo..hi-1 of at most `_BAND_NODES`
-    nodes, cut between the ranges over which numpy's pairwise sum over the grid's
-    nodes takes its sums of at most `_SUM_LEAF_NODES` values; `leaves` lists those
-    ranges as (start, stop) node numbers, from lo to hi.
+    `band, core = grid.band(lo, hi)` for a node range lo..hi-1 no longer than the
+    band size of a stream that samples `sheets` sheets per band (`_band_size`), cut
+    between the ranges over which numpy's pairwise sum over the grid's nodes takes
+    its leaf sums; `leaves` lists those ranges as (start, stop) node numbers, from
+    lo to hi.
     """
-    leaves = _pairwise(0, grid.n_nodes, min(_SUM_LEAF_NODES, _BAND_NODES),
-                       lambda start, stop: [(start, stop)])
+    band_nodes, leaf_nodes = _band_size(sheets)
+    leaves = _pairwise(0, grid.n_nodes, leaf_nodes, lambda start, stop: [(start, stop)])
     while leaves:
-        k = sum(stop - leaves[0][0] <= _BAND_NODES for _, stop in leaves)  # stops increase
+        k = sum(stop - leaves[0][0] <= band_nodes for _, stop in leaves)  # stops increase
         cut, leaves = leaves[:k], leaves[k:]
         yield (cut, *grid.band(cut[0][0], cut[-1][1]))
 
 
-def _walk(grid: DiscGrid, stream: Callable, take: Callable):
+def _walk(grid: DiscGrid, stream: Callable, take: Callable, sheets: int = _BAND_SHEETS):
     """The band walk: `take(leaves, name, core values)` for each (name, field) pair
-    `stream(band)` yields, over `bands`, under `_raising`.  A stream builds fields
-    `DiscGrid.band` keeps exact, the same names in the same order on every band."""
+    `stream(band)` yields, over `bands(grid, sheets)`, under `_raising`.  A stream
+    builds fields `DiscGrid.band` keeps exact, the same names in the same order on
+    every band."""
     with _raising():
-        for cut, band, core in bands(grid):
+        for cut, band, core in bands(grid, sheets):
             for name, f in stream(band):
                 take(cut, name, f.data[core])
                 del f  # dead before the stream computes the next field
 
 
-def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]]
-                 ) -> dict[str, tuple[float, float]]:
-    """{name: (max norm, l2 norm)} of the (name, field) pairs `residuals(band)` yields.
+def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], Iterable[tuple[str, ScalarField]]],
+                 sheets: int = _BAND_SHEETS) -> dict[str, tuple[float, float]]:
+    """{name: (max norm, l2 norm)} of the (name, field) pairs `residuals(band)` yields,
+    a stream that samples `sheets` node-sized sheets per band.
 
     The walk folds each field into its max and leaf-range sums and drops it, so
-    memory follows `_BAND_NODES`, not the node count.  Both norms equal `max_norm`
-    and `l2_norm` on the whole grid bit for bit, sums added in numpy's order.
+    memory follows the band size (`_band_size`), not the node count.  Both norms
+    equal `max_norm` and `l2_norm` on the whole grid bit for bit, sums added in
+    numpy's order.
     """
     peak: dict[str, float] = {}
     leaf_sums: dict[tuple[str, int], float] = {}
@@ -525,8 +549,8 @@ def banded_norms(grid: DiscGrid, residuals: Callable[[DiscGrid], Iterable[tuple[
             w = v[start - cut[0][0]:stop - cut[0][0]]
             leaf_sums[name, start] = float((w * w).sum())
 
-    _walk(grid, residuals, fold)
-    n, size = grid.n_nodes, min(_SUM_LEAF_NODES, _BAND_NODES)
+    _walk(grid, residuals, fold, sheets)
+    n, size = grid.n_nodes, _band_size(sheets)[1]
     return {name: (peak[name], math.sqrt(_pairwise(0, n, size, lambda s, _: leaf_sums[name, s])
                                          * grid.h**2)) for name in peak}
 

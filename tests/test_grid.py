@@ -412,6 +412,20 @@ class TestBands:
         f = grid32.field(lambda x, y: x * y + 0.5)
         assert banded_norms(grid32, lambda g: {"f": f}.items()) == {"f": (f.max_norm(), f.l2_norm())}
 
+    def test_bands_sized_by_sheets(self):
+        # up to 3 sheets a band core holds 32,768 nodes, 4 take 3/4 of that,
+        # and from 6 on half (the floor); the norms are the same whatever the size
+        def formula(x, y):
+            return np.sin(3 * x) * y + x
+
+        grid = build_disc_grid(1 / 256)
+        f = grid.field(formula)
+        whole = {"f": (f.max_norm(), f.l2_norm())}
+        for sheets, most in ((1, 32768), (3, 32768), (4, 24576), (6, 16384), (80, 16384)):
+            cores = [cut[-1][1] - cut[0][0] for cut, _, _ in grid_module.bands(grid, sheets)]
+            assert sum(cores) == grid.n_nodes and most / 2 < max(cores) <= most, (sheets, cores)
+            assert banded_norms(grid, lambda g: [("f", g.field(formula))], sheets) == whole
+
 
 class TestPairwise:
     # numpy sums a block of up to 128 values without splitting it, so a leaf

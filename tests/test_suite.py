@@ -447,8 +447,8 @@ class TestWriteFields:
         walked = []
         bands = grid.bands
 
-        def recorded(g):
-            for cut, band, core in bands(g):
+        def recorded(g, *sheets):
+            for cut, band, core in bands(g, *sheets):
                 walked.append(cut[-1][1] - cut[0][0])
                 yield cut, band, core
 
