@@ -431,7 +431,13 @@ class AngleField:
         self.s = s
 
     def partial(self, axis: int) -> ScalarField:
-        return self.c * partial(self.s, axis) - self.s * partial(self.c, axis)
+        """c*ds - s*dc, built in place in two arrays (ds*c is c*ds bit for bit)."""
+        out = partial(self.s, axis).data
+        out *= self.c.data
+        term = partial(self.c, axis).data
+        term *= self.s.data
+        out -= term
+        return ScalarField(self.grid, out)
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:

@@ -103,22 +103,27 @@ def _triple_cic(t: CrossTriple, x: ScalarField) -> ScalarField:
 
 def plastic_cic(rho: ScalarField, phi: AngleField, k: ScalarField,
                 u: ScalarField, v: ScalarField, mu: ScalarField, nu: ScalarField
-                ) -> tuple[ScalarField, ScalarField, ScalarField]:
+                ) -> Iterator[ScalarField]:
     """The three integrability conditions of the perfect-plastic split system.
 
     line 1:  du/dy - dv/dx
     line 2:  d/dy(-mu c + nu s) - d/dx(mu s + nu c)
     line 3:  d/dy((u+mu)s + (v+nu)c) + K_y phi_x - d/dx((u+mu)c - (v+nu)s) - K_x phi_y
+
+    K is checked when this is called; the lines come as an iterator that
+    computes each one when it is asked for and keeps none it has yielded.
     """
     if (k.data <= 0).any():
         raise ValueError("degenerate Mohr radius")
+    return _plastic_lines(phi, k, u, v, mu, nu)
+
+
+def _plastic_lines(phi: AngleField, k: ScalarField, u, v, mu, nu) -> Iterator[ScalarField]:
+    # each line is yielded straight from its expression: no local holds it
     c, s = phi.c, phi.s
-    line1 = partial(u, 2) - partial(v, 1)
-    line2 = partial(-1.0 * mu * c + nu * s, 2) - partial(mu * s + nu * c, 1)
-    kx, ky = partial(k, 1), partial(k, 2)
-    phix, phiy = phi.partial(1), phi.partial(2)
+    yield partial(u, 2) - partial(v, 1)
+    yield partial(-1.0 * mu * c + nu * s, 2) - partial(mu * s + nu * c, 1)
     b1 = (u + mu) * s + (v + nu) * c
     b2 = (u + mu) * c - (v + nu) * s
-    line3 = partial(b1, 2) + ky * phix - partial(b2, 1) - kx * phiy
-    return line1, line2, line3
-
+    yield (partial(b1, 2) + partial(k, 2) * phi.partial(1)
+           - partial(b2, 1) - partial(k, 1) * phi.partial(2))

@@ -9,8 +9,9 @@ I, I, K I), which is the form its stationarity relations, costate system
 assembled in `plastic`.
 
 H is affine in the controls for every system built here, so dH/du-bar^a is
-extracted exactly as H(u + e_a) - H(u): no step size, no finite
-differences.
+the same at every control value; it is read exactly as H(e_a) - H(0), at
+scalar controls 0.0 and 1.0: no step size, no finite differences, and no
+node-sized control field.
 """
 
 from __future__ import annotations
@@ -68,30 +69,36 @@ def hamiltonian(msys: MultiplierSystem, cost: CostBundle, x, y,
     """H = X + sum_i p^i_beta f_i^beta at a point or over arrays.
 
     The terms are added into the running cost in place, p1 f_i^1 then
-    p2 f_i^2, and each f_i is dropped before the next is evaluated.
+    p2 f_i^2; each product and each component of f_i is dropped as soon as
+    it has been added.
     """
     h = cost.running_value(x, y, states, controls)
     for f_i, (p1, p2) in zip(msys.rhs, costates, strict=True):
-        f = f_i(x, y, states, controls)
-        h += p1 * f[0]
-        h += p2 * f[1]
-        del f
+        f1, f2 = f_i(x, y, states, controls)
+        h += p1 * f1
+        del f1
+        h += p2 * f2
+        del f2
     return h
 
 
 def stationarity_residual(msys: MultiplierSystem, cost: CostBundle, grid: DiscGrid,
                           states, controls, costates: CostateBundle):
-    """dH/du-bar^a = H(u + e_a) - H(u), one field per control (exact for affine H).
+    """dH/du-bar^a = H(e_a) - H(0), one field per control (exact for affine H).
 
-    A generator: each field is computed when it is asked for, so a caller
+    H is read at scalar controls, 0.0 and the unit vectors e_a, so
+    `controls` gives only the control count: its values are not read.  A
+    generator: each field is computed when it is asked for, so a caller
     that folds them in turn holds one at a time.
     """
     sv = [state_value(f) for f in states]
-    cv = [f.data for f in controls]
     pv = costates.values()
     x, y = grid.x, grid.y
-    h0 = hamiltonian(msys, cost, x, y, sv, cv, pv)
-    for a in range(len(cv)):
-        shifted = list(cv)
-        shifted[a] = cv[a] + 1.0
-        yield ScalarField(grid, hamiltonian(msys, cost, x, y, sv, shifted, pv) - h0)
+    zero = [0.0] * len(controls)
+    h0 = hamiltonian(msys, cost, x, y, sv, zero, pv)
+    for a in range(len(zero)):
+        unit = list(zero)
+        unit[a] = 1.0
+        h = hamiltonian(msys, cost, x, y, sv, unit, pv)
+        h -= h0
+        yield ScalarField(grid, h)

@@ -225,22 +225,24 @@ def _forward_and_det(grid: DiscGrid, states) -> tuple[ScalarField, ScalarField, 
     fwd = ForwardPass(plastic_system(), grid, states)
     det_err = 0.0
     for a, w in fwd:
+        del w
         uniform = (a.view(np.int64) == a[..., :1].view(np.int64)).all()  # bit for bit
         det = np.linalg.det(np.moveaxis(a[..., :1] if uniform else a, (0, 1), (-2, -1)))
         det_err = det_err + np.abs(det2(a) - det)
-        del a, w, det
+        del a, det
     return (*fwd.residual(), ScalarField(grid, det_err))
 
 
-def _stationarity_max(grid: DiscGrid, states, controls, costates) -> ScalarField:
+def _stationarity_max(grid: DiscGrid, states, costates) -> ScalarField:
     """(26): the largest |dH/du-bar^a| over the four controls, node by node.
 
-    The stationarity fields are folded in one at a time, each dying before
-    the next is computed.
+    H is affine in the controls, so it is read at zero controls and no
+    control field is needed.  The stationarity fields are folded in one at
+    a time, each dying before the next is computed.
     """
     out = np.zeros(grid.n_nodes)
     for r in stationarity_residual(plastic_multiplier_system(), plastic_cost(), grid,
-                                   states, controls, costates):
+                                   states, (0.0,) * 4, costates):
         np.maximum(out, np.abs(r.data), out=out)
         del r
     return ScalarField(grid, out)
@@ -258,7 +260,7 @@ def _fields(config: RunConfig, grid: DiscGrid):
 
     Each field is computed when it is asked for, and each intermediate dies
     after its last use: the stress after (7.3), each A_i after its (6.R)
-    term, the controls u, v, mu, nu after (26), and the costates after
+    term, the controls u, v, mu, nu after (10.x), and the costates after
     (28.x).  The stream keeps no field it has yielded.
     """
     family = config.make_family()
@@ -273,14 +275,15 @@ def _fields(config: RunConfig, grid: DiscGrid):
     yield from _each(_forward_and_det(grid, states))
 
     controls = canonical_controls(grid, family)
-    yield from _each(plastic_cic(state.rho, state.phi, state.k, *controls))
+    yield from plastic_cic(state.rho, state.phi, state.k, *controls)
+    del controls
     yield k_equation_residual(state.k)
 
     costates = costate_bundle_star(grid, config.perturb_q1)
-    yield _stationarity_max(grid, states, controls, costates)
+    yield _stationarity_max(grid, states, costates)
     (p1, p2), _, (q1, q2) = costates.components
     phi = state.phi
-    del controls, costates, state, states
+    del costates, state, states
     yield from _each(costate_system_residual(p1, p2, q1, q2, phi))
 
 

@@ -163,7 +163,8 @@ class ForwardPass:
 
         v starts as A_i's first column times dx^i/dt^1; its second column's
         product with dx^i/dt^2 is then taken one row at a time and added to
-        the row and to v, so a step never holds both column products.
+        the row and to v, so a step never holds both column products: the
+        last is taken into dx^i/dt^2 in place.
         """
         self._done += 1
         a = self.sys.matrix(self._done, self.grid, self._sv, self._cv)
@@ -171,10 +172,13 @@ class ForwardPass:
         v = a[:, 0] * f.partial(1).data
         self.rows += v
         dy = f.partial(2).data
-        for beta in (0, 1):
-            ay = a[beta, 1] * dy
-            self.rows[beta] += ay
-            v[beta] += ay
+        ay = a[0, 1] * dy
+        self.rows[0] += ay
+        v[0] += ay
+        del ay
+        dy *= a[1, 1]
+        self.rows[1] += dy
+        v[1] += dy
         if self._done == self.sys.n:
             return a, self.w
         self.w -= v

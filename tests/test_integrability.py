@@ -246,6 +246,21 @@ class TestPlasticCic:
         with pytest.raises(ValueError, match="degenerate Mohr radius"):
             plastic_cic(z, angle_zero(grid32), grid32.field(0.0), z, z, z, z)
 
+    def test_lines_on_demand(self, grid32):
+        # K is checked on call; each line is computed when it is asked for,
+        # and the iterator keeps none it has yielded
+        import weakref
+
+        z = grid32.zeros()
+        lines = plastic_cic(z, angle_zero(grid32), grid32.field(1.0), z, z, z, z)
+        count = 0
+        for line in lines:
+            ref = weakref.ref(line.data)
+            del line
+            assert ref() is None
+            count += 1
+        assert count == 3
+
     @given(lam=st.floats(-4, 4, allow_nan=False))
     @settings(max_examples=20, deadline=None)
     def test_linear_in_controls(self, grid32, lam):

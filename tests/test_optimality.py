@@ -88,3 +88,15 @@ class TestStationarity:
             (f(1.0), f(-1.0))))
         res = stationarity_residual(MSYS, COST, grid, state.as_list(), controls, bad)
         assert max(r.max_norm() for r in res) > 1e-3
+
+    def test_controls_give_only_the_count(self, quad_setup):
+        # H is read at zero controls: the control fields and scalar zeros
+        # give the same fields bit for bit
+        grid, state, controls, costates = quad_setup
+        bad = CostateBundle(components=tuple((f1 + 0.5, f2 * 2.0)
+                                             for f1, f2 in costates.components))
+        for bundle in (costates, bad):
+            fields = stationarity_residual(MSYS, COST, grid, state.as_list(), controls, bundle)
+            zeros = stationarity_residual(MSYS, COST, grid, state.as_list(), (0.0,) * 4, bundle)
+            for got, want in zip(zeros, fields, strict=True):
+                assert np.array_equal(got.data, want.data)

@@ -281,10 +281,11 @@ class TestRunVerify:
 
     @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
     def test_peak_memory_bound(self, family):
-        # a verify's traced peak follows its largest band: it stays within 28
-        # arrays of that band's node count (26.8 measured at h = 1/128, where
-        # quadratic and constant take two bands and inv_x and inv_y one; the
-        # Hamiltonian built by fresh sums took 27.4-28.8)
+        # a verify's traced peak follows its largest band: it stays within 24
+        # arrays of that band's node count (22.8 measured at h = 1/128, where
+        # quadratic and constant take two bands and inv_x and inv_y one; 26.8
+        # when (26) read H at the control fields, kept alive from (10.x) on,
+        # and 27.4-28.8 when the Hamiltonian was built by fresh sums)
         import gc
         import tracemalloc
 
@@ -299,7 +300,7 @@ class TestRunVerify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * largest * 8, peak / (largest * 8)
+        assert peak <= 24 * largest * 8, peak / (largest * 8)
 
     def test_corrupted_costate_fails_27(self):
         report = run_verify(RunConfig(h=1 / 32, perturb_q1=0.1))
@@ -307,6 +308,26 @@ class TestRunVerify:
         assert any(name.startswith("(27") for name in report.failing())
         res27 = {c.condition: c for c in report.conditions}["(27.2)"]
         assert res27.max_norm >= 0.05
+
+    @pytest.mark.parametrize("coeff", [0.2, 5.0, 100.0])
+    @pytest.mark.parametrize("family", ["quadratic", "inv_x", "inv_y", "constant"])
+    def test_stationarity_roundoff_independent_of_coefficient(self, family, coeff):
+        # (26) reads dH/du-bar^a at zero controls, so its roundoff does not
+        # grow with the controls' magnitude: 2.2e-16 at most on these draws,
+        # where reading H at the control fields gave up to 4.6e-12, a false
+        # FAIL at inv_x beta = 100 (2.07e-12); the negative control still
+        # reads its 1e-3 shift of q1
+        from bitime.suite import _COEFF_KEY
+
+        for eps0 in (0.05, 0.3):
+            for perturb_q1 in (0.0, 1e-3):
+                config = RunConfig(h=1 / 64, family=family, eps0=eps0, perturb_q1=perturb_q1,
+                                   **{_COEFF_KEY[family]: coeff})
+                norm = {c.condition: c for c in run_verify(config).conditions}["(26)"].max_norm
+                if perturb_q1:
+                    assert norm >= 9.9e-4, (eps0, norm)
+                else:
+                    assert norm <= 1e-15, (eps0, norm)
 
 
 class TestRunConvergence:
@@ -463,11 +484,12 @@ class TestWriteFields:
     def test_peak_memory_bound(self, tmp_path, family, h, bound):
         # in field-sized arrays.  At h = 1/128 (two bands) the peak is the band
         # walk's: one file's whole-grid columns and a band's intermediates,
-        # 27.4 measured, where the residual stream taken on the whole grid
-        # took 38.9-42.5.  At 1/256 (seven bands) it is inside the encoding
-        # of a column with many distinct values: 19.4-22.4 measured,
-        # 19.8-22.8 when np.unique sorted each column twice, 28.1 when every
-        # column's picks were put in row order at once.
+        # 24.8 measured (27.4 when (26) read H at the control fields), where
+        # the residual stream taken on the whole grid took 38.9-42.5.  At
+        # 1/256 (seven bands) it is inside the encoding of a column with many
+        # distinct values: 19.4-22.4 measured, 19.8-22.8 when np.unique
+        # sorted each column twice, 28.1 when every column's picks were put
+        # in row order at once.
         import gc
         import tracemalloc
 
